@@ -16,7 +16,6 @@ factors.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -108,31 +107,32 @@ def fusion_product(x: Word, y: Word) -> Counter:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _dimension_cached(x: Word, n: int) -> int:
-    group = x.group
-    if not x.letters:
-        return 1
-    head = Word(group, x.letters[:-1])
-    last = x.letters[-1]
-    single = n - (1 if last == group.identity() else 0)
-    if not head.letters:
-        return single
-    value = _dimension_cached(head, n) * single
-    value -= _dimension_cached(fuse_words(head, Word(group, (last,))), n)
-    if head.letters[-1] == group.inv(last):
-        value -= _dimension_cached(Word(group, head.letters[:-1]), n)
-    return value
-
-
 def dimension(x: Word, n: int) -> int:
     """Dimension of the word representation over an algebra of dimension
-    ``n``; defined (and strictly positive) for ``n >= 4``."""
+    ``n``; defined (and strictly positive) for ``n >= 4``.
+
+    ``dim`` is the ring homomorphism with ``dim(g) = n - [g = e]`` on one
+    letter, so appending a letter ``g`` to a nonempty prefix ``P`` gives
+
+        dim(P g) = dim(P) dim(g) - dim(P[:-1] (P[-1] g)) - [P[-1] g = e] dim(P[:-1]).
+
+    By induction on the length of ``P`` this is ``dim(P g) = A - [g = e]
+    dim(P)``, where ``A = n dim(P) - A'`` and ``A'`` is the same quantity one
+    letter earlier (``A' = 0`` for the empty prefix): the middle term of the
+    recurrence is ``A' - [P[-1] g = e] dim(P[:-1])`` and its indicator term
+    cancels the last one. Only which letters are the identity matters, and
+    one pass over the word gives the dimension.
+    """
     if n < MIN_FUSION_DIM:
         raise DomainError(
             f"word dimensions need an algebra of dimension >= {MIN_FUSION_DIM}, got {n}"
         )
-    return _dimension_cached(x, n)
+    identity = x.group.identity()
+    value, base = 1, 0
+    for g in x.letters:
+        base = n * value - base
+        value = base - value if g == identity else base
+    return value
 
 
 def multiplicity_of_trivial(x: Word, y: Word) -> int:

@@ -13,14 +13,22 @@ composition: the count of removed central blocks and the cycle exponent
 
 where ``l`` is the number of identified middle points and ``b`` counts blocks.
 
+Diagrams are validated at the edge and trusted inside. Input from outside —
+the public :class:`Partition` constructor and :meth:`Partition.from_dict` —
+passes one validator that checks the point cover and the noncrossing
+property and puts the blocks in canonical order. Enumeration, composition,
+tensor, adjoint and the identity produce diagrams that are noncrossing by
+construction; they order their blocks canonically themselves and wrap them
+without re-checking.
+
 Everything here is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoundError, ShapeError, ValidationError
 
@@ -31,6 +39,7 @@ __all__ = [
     "CompositionResult",
     "parse_point",
     "is_noncrossing",
+    "check_point_bound",
     "enumerate_partitions",
     "identity_partition",
     "tensor",
@@ -70,16 +79,24 @@ def parse_point(token: str) -> Point:
     return Point(token[0], index)
 
 
-def _linear_position(point: Point, upper: int, lower: int) -> int:
-    """Position of ``point`` on the bent line: ``u1..uk`` then ``ll..l1``."""
-    if point.side == "u":
-        return point.index - 1
-    return upper + (lower - point.index)
+def _point_key(point: Point) -> tuple[int, int]:
+    return (0 if point.side == "u" else 1, point.index)
 
 
-def _check_cover(blocks: Sequence[Sequence[Point]], upper: int, lower: int) -> None:
-    seen: set[Point] = set()
-    for block in blocks:
+def _canonical_blocks(
+    blocks: Iterable[Iterable[Point]], upper: int, lower: int
+) -> tuple[tuple[Point, ...], ...] | None:
+    """The one validator for outside input.
+
+    Raises :class:`ValidationError` unless ``blocks`` partition exactly the
+    points of ``NC(upper, lower)``. Returns the blocks in canonical order, or
+    ``None`` when two of them cross under the bent-line order.
+    """
+    total = upper + lower
+    owner = [-1] * total  # block number at each bent-line position
+    mat = []
+    for b, raw in enumerate(blocks):
+        block = tuple(Point(*pt) for pt in raw)
         if not block:
             raise ValidationError("empty block")
         for pt in block:
@@ -88,36 +105,32 @@ def _check_cover(blocks: Sequence[Sequence[Point]], upper: int, lower: int) -> N
             bound = upper if pt.side == "u" else lower
             if not 1 <= pt.index <= bound:
                 raise ValidationError(f"point {pt.token} out of range for NC({upper},{lower})")
-            if pt in seen:
+            pos = pt.index - 1 if pt.side == "u" else total - pt.index
+            if owner[pos] >= 0:
                 raise ValidationError(f"point {pt.token} appears twice")
-            seen.add(pt)
-    if len(seen) != upper + lower:
-        raise ValidationError(
-            f"blocks cover {len(seen)} points, expected {upper + lower}"
-        )
-
-
-def _crossing_free(position_blocks: Sequence[Sequence[int]], total: int) -> bool:
-    """Stack test on linearized positions: each block must close before an
-    enclosing one resurfaces."""
-    label = [0] * total
-    last = [0] * len(position_blocks)
-    for b, positions in enumerate(position_blocks):
-        for pos in positions:
-            label[pos] = b
-        last[b] = max(positions)
+            owner[pos] = b
+        mat.append(block)
+    covered = len(owner) - owner.count(-1)
+    if covered != total:
+        raise ValidationError(f"blocks cover {covered} points, expected {total}")
+    # Stack test along the bent line: a block may only continue while it is
+    # the innermost open one. Blocks open in canonical order.
+    last = [0] * len(mat)
+    for pos, b in enumerate(owner):
+        last[b] = pos
+    opened = [False] * len(mat)
     stack: list[int] = []
-    opened = [False] * len(position_blocks)
-    for pos in range(total):
-        b = label[pos]
+    order: list[int] = []
+    for pos, b in enumerate(owner):
         if not opened[b]:
             opened[b] = True
             stack.append(b)
+            order.append(b)
         elif stack[-1] != b:
-            return False
+            return None
         if pos == last[b]:
             stack.pop()
-    return True
+    return tuple(tuple(sorted(mat[b], key=_point_key)) for b in order)
 
 
 def is_noncrossing(blocks: Iterable[Iterable[Point]], upper: int, lower: int) -> bool:
@@ -127,27 +140,20 @@ def is_noncrossing(blocks: Iterable[Iterable[Point]], upper: int, lower: int) ->
     Raises :class:`ValidationError` if the blocks do not form a partition of
     exactly the declared point set.
     """
-    mat = [tuple(b) for b in blocks]
-    _check_cover(mat, upper, lower)
-    total = upper + lower
-    positions = [
-        [_linear_position(pt, upper, lower) for pt in block] for block in mat
-    ]
-    return _crossing_free(positions, total)
+    return _canonical_blocks(blocks, upper, lower) is not None
 
 
-def _point_key(point: Point) -> tuple[int, int]:
-    return (0 if point.side == "u" else 1, point.index)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An element of ``NC(upper, lower)`` in canonical form.
 
     Blocks are stored sorted by their minimal point in the bent-line order;
     within a block, upper points come first (by index), then lower points (by
-    index). Construction validates the partition structure and the
-    noncrossing property, so every live instance is a genuine diagram.
+    index). The public constructor (and :meth:`from_dict`) validates the
+    partition structure and the noncrossing property and canonicalizes the
+    blocks. The diagram operations of this module build their results through
+    an unchecked path instead, because those results are diagrams in
+    canonical form by construction.
     """
 
     upper: int
@@ -158,6 +164,8 @@ class Partition:
         if self.upper < 0 or self.lower < 0:
             raise ValidationError("row sizes must be nonnegative")
         canonical = _canonical_blocks(self.blocks, self.upper, self.lower)
+        if canonical is None:
+            raise ValidationError("blocks cross under the bent-line order")
         object.__setattr__(self, "blocks", canonical)
 
     @property
@@ -200,18 +208,13 @@ class Partition:
         return " | ".join(" ".join(pt.token for pt in block) for block in self.blocks)
 
 
-def _canonical_blocks(
-    blocks: Iterable[Iterable[Point]], upper: int, lower: int
-) -> tuple[tuple[Point, ...], ...]:
-    mat = [tuple(Point(*pt) for pt in block) for block in blocks]
-    _check_cover(mat, upper, lower)
-    positions = [[_linear_position(pt, upper, lower) for pt in block] for block in mat]
-    if not _crossing_free(positions, upper + lower):
-        raise ValidationError("blocks cross under the bent-line order")
-    order = sorted(range(len(mat)), key=lambda b: min(positions[b]))
-    return tuple(
-        tuple(sorted(mat[b], key=_point_key)) for b in order
-    )
+def _trusted(upper: int, lower: int, blocks: tuple[tuple[Point, ...], ...]) -> Partition:
+    """Wrap blocks that already form a canonical diagram, with no checks."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "upper", upper)
+    object.__setattr__(p, "lower", lower)
+    object.__setattr__(p, "blocks", blocks)
+    return p
 
 
 class CompositionResult(NamedTuple):
@@ -223,59 +226,74 @@ class CompositionResult(NamedTuple):
     cycles: int
 
 
-_CATALAN: list[int] = [1]
-
-
 def catalan(n: int) -> int:
-    """The n-th Catalan number, by the convolution recurrence."""
+    """The n-th Catalan number."""
     if n < 0:
         raise ValidationError("catalan index must be nonnegative")
-    while len(_CATALAN) <= n:
-        m = len(_CATALAN)
-        _CATALAN.append(sum(_CATALAN[i] * _CATALAN[m - 1 - i] for i in range(m)))
-    return _CATALAN[n]
+    return math.comb(2 * n, n) // (n + 1)
 
 
-def _linear_noncrossing(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All noncrossing set partitions of an increasing tuple of line positions."""
-    if not points:
-        yield ()
+def check_point_bound(upper: int, lower: int, max_points: int) -> None:
+    """Raise :class:`BoundError`, stating the predicted diagram count
+    ``catalan(upper + lower)``, when ``upper + lower`` exceeds ``max_points``."""
+    m = upper + lower
+    if m <= max_points:
         return
-    first, rest = points[0], points[1:]
-    for r in range(len(rest) + 1):
-        for chosen in itertools.combinations(rest, r):
-            block = (first, *chosen)
-            # Everything not in the block falls into the gaps between
-            # consecutive block members (or after the last); blocks may not
-            # straddle a gap boundary without crossing.
-            segments: list[list[int]] = [[] for _ in range(len(block))]
-            chosen_set = set(chosen)
-            for x in rest:
-                if x in chosen_set:
-                    continue
-                lo, hi = 0, len(block)
-                while lo < hi:  # rightmost block member below x
-                    mid = (lo + hi) // 2
-                    if block[mid] < x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                segments[lo - 1].append(x)
-            for combo in itertools.product(
-                *(_linear_noncrossing(tuple(seg)) for seg in segments)
-            ):
-                yield (block,) + tuple(b for part in combo for b in part)
+    if m <= 40:
+        count = f"{catalan(m):,}"
+    else:  # the exact count would be a wall of digits (and slow to form)
+        log10 = (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(10)
+        count = f"about 10^{int(log10)}"
+    raise BoundError(f"{m} points ({count} diagrams) exceeds the configured bound of {max_points}")
 
 
-def _from_linear(upper: int, lower: int, blocks: Iterable[Iterable[int]]) -> Partition:
-    def to_point(pos: int) -> Point:
-        if pos < upper:
-            return Point("u", pos + 1)
-        return Point("l", lower - (pos - upper))
+def _noncrossing_blocks(upper: int, lower: int) -> Iterator[tuple[tuple[Point, ...], ...]]:
+    """Every noncrossing partition of the bent line of ``NC(upper, lower)``,
+    as canonical blocks.
 
-    return Partition(
-        upper, lower, tuple(tuple(to_point(pos) for pos in block) for block in blocks)
-    )
+    On positions ``0 .. m-1`` the partitions come in lexicographic order of
+    their blocks written as increasing position tuples. The block holding the
+    first position ``lo`` of an interval is grown one position at a time
+    (which visits the candidate blocks in lexicographic order); the gaps it
+    closes and the rest of the interval after it are independent intervals,
+    whose partitions are listed once per call and combined in product order.
+    The points are built once and shared by every diagram.
+    """
+    at = [Point("u", i + 1) for i in range(upper)] + [
+        Point("l", lower - j) for j in range(lower)
+    ]
+    memo: dict[tuple[int, int], list] = {}
+
+    def listed(lo: int, hi: int) -> list:
+        found = memo.get((lo, hi))
+        if found is None:
+            found = memo[lo, hi] = list(partitions(lo, hi))
+        return found
+
+    def grow(block: tuple[int, ...], inner: list, hi: int) -> Iterator:
+        # Canonical point order: upper points ascending, then lower points
+        # ascending, i.e. lower positions descending.
+        pts = (
+            tuple(at[p] for p in block if p < upper)
+            + tuple(at[p] for p in reversed(block) if p >= upper),
+        )
+        last = block[-1]
+        rest = listed(last + 1, hi)
+        for head in inner:
+            front = pts + head
+            for tail in rest:
+                yield front + tail
+        for nxt in range(last + 1, hi):
+            gap = listed(last + 1, nxt)
+            yield from grow(block + (nxt,), [h + g for h in inner for g in gap], hi)
+
+    def partitions(lo: int, hi: int) -> Iterator:
+        if lo == hi:
+            yield ()
+        else:
+            yield from grow((lo,), [()], hi)
+
+    return partitions(0, upper + lower)
 
 
 def enumerate_partitions(
@@ -288,59 +306,51 @@ def enumerate_partitions(
     """
     if upper < 0 or lower < 0:
         raise ValidationError("row sizes must be nonnegative")
-    m = upper + lower
-    if m > max_points:
-        raise BoundError(f"{m} points exceeds the configured bound of {max_points}")
-    linear = [tuple(sorted(blocks)) for blocks in _linear_noncrossing(tuple(range(m)))]
-    linear.sort()
-    return [_from_linear(upper, lower, blocks) for blocks in linear]
+    check_point_bound(upper, lower, max_points)
+    return [_trusted(upper, lower, blocks) for blocks in _noncrossing_blocks(upper, lower)]
 
 
 def identity_partition(k: int) -> Partition:
     """The identity diagram of ``NC(k, k)``: each ``u_i`` paired with ``l_i``."""
-    return Partition(
-        k, k, tuple((Point("u", i), Point("l", i)) for i in range(1, k + 1))
-    )
+    if k < 0:
+        raise ValidationError("row sizes must be nonnegative")
+    return _trusted(k, k, tuple((Point("u", i), Point("l", i)) for i in range(1, k + 1)))
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
     """Horizontal concatenation: ``q``'s points are shifted past ``p``'s."""
     shifted = tuple(
         tuple(
-            Point(pt.side, pt.index + (p.upper if pt.side == "u" else p.lower))
-            for pt in block
+            Point(side, index + (p.upper if side == "u" else p.lower))
+            for side, index in block
         )
         for block in q.blocks
     )
-    return Partition(p.upper + q.upper, p.lower + q.lower, p.blocks + shifted)
+    # On the joint bent line q's points sit between p's upper and lower rows:
+    # p's blocks that reach the upper row come first, then q's, then p's
+    # lower-only blocks, each group keeping its own order.
+    split = 0
+    for block in p.blocks:
+        if block[0].side != "u":
+            break
+        split += 1
+    blocks = p.blocks[:split] + shifted + p.blocks[split:]
+    return _trusted(p.upper + q.upper, p.lower + q.lower, blocks)
 
 
 def adjoint(p: Partition) -> Partition:
     """Reflection across the horizontal axis: rows swap, indices keep."""
-    flipped = tuple(
-        tuple(Point("l" if pt.side == "u" else "u", pt.index) for pt in block)
-        for block in p.blocks
-    )
-    return Partition(p.lower, p.upper, flipped)
-
-
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    upper, total = p.lower, p.upper + p.lower
+    flipped = []
+    for block in p.blocks:
+        flipped.append(
+            tuple(Point("u", index) for side, index in block if side == "l")
+            + tuple(Point("l", index) for side, index in block if side == "u")
+        )
+    # Minimal bent-line position: the first upper point, else the largest
+    # lower index (the lower row runs backwards).
+    flipped.sort(key=lambda b: b[0].index - 1 if b[0].side == "u" else total - b[-1].index)
+    return _trusted(upper, p.upper, tuple(flipped))
 
 
 def compose(p: Partition, q: Partition) -> CompositionResult:
@@ -354,34 +364,58 @@ def compose(p: Partition, q: Partition) -> CompositionResult:
         raise ShapeError(
             f"cannot compose: p has {p.lower} lower points, q has {q.upper} upper points"
         )
-    k, mid, w = p.upper, p.lower, q.lower
-    uf = _UnionFind(k + mid + w)
+    k, w = p.upper, q.lower
+    # Union-find over blocks: p's blocks are nodes 0..bp-1, q's follow; the
+    # middle point t joins p's block holding l_t to q's block holding u_t.
+    bp = len(p.blocks)
+    parent = list(range(bp + len(q.blocks)))
 
-    def p_node(pt: Point) -> int:
-        return pt.index - 1 if pt.side == "u" else k + pt.index - 1
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
 
-    def q_node(pt: Point) -> int:
-        return k + pt.index - 1 if pt.side == "u" else k + mid + pt.index - 1
+    # A block lists its upper points, then its lower points, so each block
+    # splits into an upper and a lower part by slicing.
+    above = [0] * p.lower  # p's block at each middle point
+    tops = []  # (node, upper part) of p's blocks that reach the upper row
+    for b, block in enumerate(p.blocks):
+        n = 0
+        for side, index in block:
+            if side == "u":
+                n += 1
+            else:
+                above[index - 1] = b
+        if n:
+            tops.append((b, block[:n]))
+    bottoms = []  # (node, lower part) of q's blocks that reach the lower row
+    for b, block in enumerate(q.blocks, bp):
+        n = 0
+        for side, index in block:
+            if side != "u":
+                break
+            n += 1
+            parent[find(above[index - 1])] = find(b)
+        if n < len(block):
+            bottoms.append((b, block[n:]))
 
-    for block in p.blocks:
-        first = p_node(block[0])
-        for pt in block[1:]:
-            uf.union(first, p_node(pt))
-    for block in q.blocks:
-        first = q_node(block[0])
-        for pt in block[1:]:
-            uf.union(first, q_node(pt))
+    # Only blocks reaching the middle row merge. Among p's, the upper parts
+    # ascend in block order (a later one nested inside an earlier one could
+    # not reach the middle row without crossing it); among q's, so do the
+    # lower parts. Each component thus gathers its points in canonical order.
+    # Components reaching the upper row are met in canonical order;
+    # lower-only ones go by their largest lower index, descending.
+    roots = [find(b) for b in range(len(parent))]
+    components: dict[int, tuple[Point, ...]] = {}
+    for b, part in tops:
+        components[roots[b]] = components.get(roots[b], ()) + part
+    with_upper = len(components)
+    for b, part in bottoms:
+        components[roots[b]] = components.get(roots[b], ()) + part
+    central = len(set(roots)) - len(components)
 
-    components: dict[int, list[Point]] = {}
-    middle_roots: set[int] = set()
-    for i in range(k):
-        components.setdefault(uf.find(i), []).append(Point("u", i + 1))
-    for j in range(w):
-        components.setdefault(uf.find(k + mid + j), []).append(Point("l", j + 1))
-    for t in range(mid):
-        middle_roots.add(uf.find(k + t))
-
-    central = len(middle_roots - set(components))
-    result = Partition(k, w, tuple(tuple(block) for block in components.values()))
-    cycles = mid + result.block_count + central - p.block_count - q.block_count
+    blocks = tuple(components.values())
+    lower_only = sorted(blocks[with_upper:], key=lambda b: -b[-1].index)
+    result = _trusted(k, w, blocks[:with_upper] + tuple(lower_only))
+    cycles = p.lower + len(blocks) + central - bp - len(q.blocks)
     return CompositionResult(result, central, cycles)

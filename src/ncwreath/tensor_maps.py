@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import BasisIndex, MultiMatrixAlgebra
 from .errors import BoundError, DomainError, ShapeError
-from .partitions import DEFAULT_MAX_POINTS, Partition, catalan, compose
+from .partitions import DEFAULT_MAX_POINTS, Partition, catalan, check_point_bound, compose
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
@@ -321,8 +321,5 @@ def hom_dimension(
     span over any algebra of dimension at least four."""
     if upper < 0 or lower < 0:
         raise DomainError("row sizes must be nonnegative")
-    if upper + lower > max_points:
-        raise BoundError(
-            f"{upper + lower} points exceeds the configured bound of {max_points}"
-        )
+    check_point_bound(upper, lower, max_points)
     return catalan(upper + lower)

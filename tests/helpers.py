@@ -62,6 +62,47 @@ def noncrossing_by_pairs(blocks, upper: int, lower: int) -> bool:
     return True
 
 
+def linear_enumeration_oracle(upper: int, lower: int) -> list[Partition]:
+    """NC(upper, lower) in the library's canonical order, the slow way.
+
+    Every noncrossing set partition of the bent-line positions is generated
+    by choosing the first position's block and recursing into the gaps it
+    leaves; the position blocks are sorted, the partitions listed in
+    lexicographic order, and each is mapped to points and passed through the
+    validating constructor.
+    """
+
+    def noncrossing(points):
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        for r in range(len(rest) + 1):
+            for chosen in itertools.combinations(rest, r):
+                block = (first, *chosen)
+                segments = [[] for _ in block]
+                for x in rest:
+                    if x not in chosen:
+                        segments[sum(1 for b in block if b < x) - 1].append(x)
+                for combo in itertools.product(
+                    *(list(noncrossing(tuple(seg))) for seg in segments)
+                ):
+                    yield (block,) + tuple(b for part in combo for b in part)
+
+    def to_point(pos: int) -> Point:
+        if pos < upper:
+            return Point("u", pos + 1)
+        return Point("l", lower - (pos - upper))
+
+    linear = sorted(
+        tuple(sorted(blocks)) for blocks in noncrossing(tuple(range(upper + lower)))
+    )
+    return [
+        Partition(upper, lower, tuple(tuple(to_point(pos) for pos in b) for b in blocks))
+        for blocks in linear
+    ]
+
+
 def brute_force_nc(upper: int, lower: int) -> set[Partition]:
     """All of NC(upper, lower) by filtering every set partition of the points."""
     points = [Point("u", i) for i in range(1, upper + 1)] + [
@@ -136,3 +177,35 @@ def symmetric_group_dict(n: int) -> dict:
         [index[tuple(a[b[i]] for i in range(n))] for b in perms] for a in perms
     ]
     return {"elements": names, "identity": "e", "table": table}
+
+
+def word_dimension_from_the_right(group, letters, n: int) -> int:
+    """Dimension of a word over a finite group, evaluated right to left.
+
+    Fusing one letter into a word from the left gives
+    ``dim(g) dim(s S) = dim(g s S) + dim((g s) S) + [g s = e] dim(S)``, so
+    ``level[h]`` holds the dimension of the current suffix with its first
+    letter replaced by ``h``, for every group element ``h``, and the suffix
+    grows one letter at a time.
+    """
+    elements = list(group.elements())
+    identity = group.identity()
+
+    def single(h) -> int:
+        return n - (1 if h == identity else 0)
+
+    if not letters:
+        return 1
+    after = 1  # dim of the suffix after the next letter
+    level = {h: single(h) for h in elements}
+    for j in range(len(letters) - 2, -1, -1):
+        nxt = letters[j + 1]
+        shorter = level[nxt]  # dim of letters[j+1:]
+        level = {
+            h: single(h) * shorter
+            - level[group.mul(h, nxt)]
+            - (after if group.mul(h, nxt) == identity else 0)
+            for h in elements
+        }
+        after = shorter
+    return level[letters[0]]

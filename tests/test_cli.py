@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ from ncwreath.decorated import DecoratedPartition
 from ncwreath.groups import CyclicGroup
 from ncwreath.partitions import Partition, adjoint, enumerate_partitions
 from ncwreath.tensor_maps import build_map
+
+from helpers import word_dimension_from_the_right
 
 M_PAYLOAD = {"upper": 2, "lower": 1, "blocks": [["u1", "u2", "l1"]]}
 M_STAR_PAYLOAD = {"upper": 1, "lower": 2, "blocks": [["u1", "l1", "l2"]]}
@@ -83,6 +86,26 @@ class TestPartitionsCommands:
         )
         assert code == 3
         assert err.startswith("bound error:")
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    def test_bound_error_states_predicted_count(self, capsys, count_only):
+        code, _, err = run_cli(
+            capsys, "partitions", "enumerate", "--upper", "9", "--lower", "9",
+            *count_only,
+        )
+        assert code == 3
+        assert err == (
+            "bound error: 18 points (477,638,700 diagrams) exceeds the configured"
+            " bound of 16\n"
+        )
+
+    def test_bound_error_for_huge_request(self, capsys):
+        code, _, err = run_cli(
+            capsys, "partitions", "enumerate", "--upper", "1000000", "--lower", "0",
+            "--count-only",
+        )
+        assert code == 3
+        assert err.startswith("bound error: 1000000 points (about 10^602050 diagrams)")
 
     def test_enumerate_raised_bound(self, capsys):
         code, out, _ = run_cli(
@@ -429,6 +452,16 @@ class TestFusionCommands:
             "n": 4,
             "dimension": 5,
         }
+
+    def test_dim_long_word(self, capsys):
+        rng = random.Random(3000)
+        letters = tuple(rng.randrange(2) for _ in range(3000))
+        word = ",".join("s" if g else "e" for g in letters)
+        code, out, err = run_cli(
+            capsys, "fusion", "dim", "--group", "cyclic:2", "--word", word, "--n", "5"
+        )
+        assert (code, err) == (0, "")
+        assert int(out) == word_dimension_from_the_right(CyclicGroup(2), letters, 5)
 
     def test_dim_small_n_rejected(self, capsys):
         code, _, err = run_cli(

@@ -26,7 +26,7 @@ from ncwreath.fusion import (
 )
 from ncwreath.partitions import catalan
 
-from helpers import symmetric_group_dict
+from helpers import symmetric_group_dict, word_dimension_from_the_right
 
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
@@ -214,6 +214,29 @@ class TestDimension:
         for _ in range(30):
             x = random_word(rng, Z3)
             assert dimension(x, 5) == dimension(involution(x), 5)
+
+    @pytest.mark.parametrize("group", [Z2, Z3, S3])
+    def test_matches_right_to_left_evaluation(self, group):
+        rng = random.Random(11)
+        for _ in range(40):
+            x = random_word(rng, group, max_len=12)
+            n = rng.choice([4, 5, 9])
+            assert dimension(x, n) == word_dimension_from_the_right(group, x.letters, n)
+
+    def test_long_word(self):
+        # Far past the interpreter's recursion limit.
+        rng = random.Random(3000)
+        x = Word(Z2, tuple(rng.randrange(2) for _ in range(3000)))
+        for n in (4, 5):
+            assert dimension(x, n) == word_dimension_from_the_right(Z2, x.letters, n)
+
+    def test_long_integer_word(self):
+        # Appending the identity letter to x multiplies by n - 1 and takes
+        # away dim(x) once, since the last letter of x is not the identity.
+        x = Word(ZZ, tuple(range(1, 3001)))
+        for n in (4, 7):
+            assert dimension(Word(ZZ, x.letters + (0,)), n) == (n - 2) * dimension(x, n)
+            assert dimension(x, n) == dimension(involution(x), n)
 
 
 class TestMultiplicityOfTrivial:

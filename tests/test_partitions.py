@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import brute_force_nc, make_partition
+from helpers import brute_force_nc, linear_enumeration_oracle, make_partition
 from ncwreath.errors import BoundError, ShapeError, ValidationError
 from ncwreath.partitions import (
     Partition,
@@ -68,6 +68,9 @@ class TestEnumeration:
     def test_point_bound(self):
         with pytest.raises(BoundError):
             enumerate_partitions(9, 8)
+        with pytest.raises(BoundError, match=r"^18 points \(477,638,700 diagrams\) exceeds"
+                           r" the configured bound of 16$"):
+            enumerate_partitions(9, 9)
         assert len(enumerate_partitions(2, 2, max_points=4)) == 14
         with pytest.raises(BoundError):
             enumerate_partitions(2, 3, max_points=4)
@@ -337,3 +340,63 @@ class TestCycleBookkeeping:
             got = compose(p, q)
             assert got.cycles >= 0
             assert got.central_blocks >= 0
+
+
+def _validated(p: Partition) -> Partition:
+    return Partition(p.upper, p.lower, p.blocks)
+
+
+def _pool(max_points: int) -> dict:
+    return {
+        (k, m - k): enumerate_partitions(k, m - k)
+        for m in range(max_points + 1)
+        for k in range(m + 1)
+    }
+
+
+class TestTrustedPath:
+    """Results built without validation equal their validated rebuilds."""
+
+    @pytest.mark.parametrize("points", range(10))
+    def test_enumeration_matches_linear_oracle(self, points):
+        for upper in range(points + 1):
+            got = enumerate_partitions(upper, points - upper)
+            want = linear_enumeration_oracle(upper, points - upper)
+            assert got == want
+
+    def test_compose_results_are_canonical(self):
+        # Every composable pair whose three rows hold at most 6 points.
+        pool = _pool(6)
+        checked = 0
+        for (a, b), ps in pool.items():
+            for c in range(7 - a - b):
+                for p in ps:
+                    for q in pool[b, c]:
+                        r = compose(p, q).result
+                        assert r == _validated(r)
+                        checked += 1
+        assert checked == 43371
+
+    def test_tensor_results_are_canonical(self):
+        pool = _pool(6)
+        for (a, b), ps in pool.items():
+            for (c, d), qs in pool.items():
+                if a + b + c + d > 6:
+                    continue
+                for p in ps:
+                    for q in qs:
+                        r = tensor(p, q)
+                        assert r == _validated(r)
+
+    def test_adjoint_and_identity_results_are_canonical(self):
+        for diagrams in _pool(6).values():
+            for p in diagrams:
+                r = adjoint(p)
+                assert r == _validated(r)
+        for k in range(6):
+            r = identity_partition(k)
+            assert r == _validated(r)
+
+    def test_identity_negative_rejected(self):
+        with pytest.raises(ValidationError):
+            identity_partition(-1)
