@@ -16,17 +16,28 @@ document that re-parses to the same value. Exit codes: 0 success, 1 a
 verification that ran but exceeded its tolerance, 2 bad input (``parse
 error:`` / ``file error:`` on standard error), 3 a resource bound was hit
 (``bound error:``). No command writes to any input file.
+
+Each handler ``_cmd_<topic>_<action>`` returns ``(payload, lines)``: the
+JSON document and the text lines of the same answer. Diagrams, words,
+algebras and matrices stay objects inside the payload and long text is
+lazy, so each format pays only for itself. Only :func:`run` prints, with
+integers of any size written exactly, and only :func:`run` turns
+exceptions into exit codes 2 and 3; exit code 1 comes from a payload whose
+``ok`` is false.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .algebra import DEFAULT_TOLERANCE, MultiMatrixAlgebra
-from .decorated import enumerate_decorated
+from .decorated import DecoratedPartition, enumerate_decorated
 from .errors import BoundError, NcwreathError, ValidationError
 from .fusion import (
     AlternatingWord,
@@ -56,6 +67,8 @@ from .tensor_maps import (
     verify_composition,
 )
 
+Result = tuple[Any, Iterable[Any]]
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures match the CLI error contract."""
@@ -84,6 +97,10 @@ def _load_partition(path: str) -> Partition:
 
 def _load_algebra(path: str) -> MultiMatrixAlgebra:
     return MultiMatrixAlgebra.from_dict(_load_json(path))
+
+
+def _parse_word(group: Group, text: str) -> Word:
+    return Word(group, parse_word_text(group, text))
 
 
 def _parse_factors(text: str) -> tuple[WordRing, ...]:
@@ -126,16 +143,11 @@ def _parse_alternating(rings: Sequence[WordRing], text: str) -> AlternatingWord:
             raise ValidationError(
                 f"factor index {index} out of range for {len(rings)} factors"
             )
-        group = rings[index].group
-        entries.append((index, Word(group, parse_word_text(group, letters_text))))
+        entries.append((index, _parse_word(rings[index].group, letters_text)))
     return AlternatingWord(tuple(entries))
 
 
-# -- output helpers -----------------------------------------------------------
-
-
-def _print_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2))
+# -- output -------------------------------------------------------------------
 
 
 def format_word(word: Word) -> str:
@@ -152,186 +164,122 @@ def format_alternating(word: AlternatingWord) -> str:
     )
 
 
-def _word_combination_payload(combination) -> list[dict]:
-    return [
-        {"word": word.names(), "mult": mult}
-        for word, mult in sorted_combination(combination)
-    ]
+def _to_json(obj: Any) -> Any:
+    """``json.dumps`` hook for the library objects a payload holds."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Word):
+        return obj.names()
+    if isinstance(obj, AlternatingWord):
+        return [
+            {"factor": index, "letters": label.names()} for index, label in obj.entries
+        ]
+    if isinstance(obj, (Partition, DecoratedPartition, MultiMatrixAlgebra)):
+        return obj.to_dict()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _alternating_combination_payload(combination) -> list[dict]:
-    return [
-        {
-            "word": [
-                {"factor": index, "letters": label.names()}
-                for index, label in word.entries
-            ],
-            "mult": mult,
-        }
-        for word, mult in sorted_combination(combination)
-    ]
-
-
-def _print_combination(combination, fmt: str, payload_fn, text_fn) -> None:
-    if fmt == "json":
-        _print_json(payload_fn(combination))
-    else:
-        for word, mult in sorted_combination(combination):
-            print(f"{text_fn(word)}: {mult}")
-
-
-def _matrix_rows(matrix) -> list[list[float]]:
-    return [[float(x) for x in row] for row in matrix]
+def _combination(combination, text_fn) -> Result:
+    """A fusion result sorted once: JSON terms and ``word: mult`` text lines."""
+    terms = sorted_combination(combination)
+    return (
+        [{"word": word, "mult": mult} for word, mult in terms],
+        (f"{text_fn(word)}: {mult}" for word, mult in terms),
+    )
 
 
 # -- partitions ---------------------------------------------------------------
 
 
-def _cmd_partitions_enumerate(args: argparse.Namespace) -> int:
+def _cmd_partitions_enumerate(args: argparse.Namespace) -> Result:
+    shape = {"upper": args.upper, "lower": args.lower}
     if args.count_only:
         # the count is known in closed form; skip materializing the diagrams
         count = hom_dimension(args.upper, args.lower, max_points=args.max_points)
-        if args.format == "json":
-            _print_json({"upper": args.upper, "lower": args.lower, "count": count})
-        else:
-            print(count)
-        return 0
+        return {**shape, "count": count}, [count]
     parts = enumerate_partitions(args.upper, args.lower, max_points=args.max_points)
-    if args.format == "json":
-        _print_json(
-            {
-                "upper": args.upper,
-                "lower": args.lower,
-                "count": len(parts),
-                "partitions": [p.to_dict() for p in parts],
-            }
-        )
-    else:
-        for p in parts:
-            print(p)
-    return 0
+    return {**shape, "count": len(parts), "partitions": parts}, parts
 
 
-def _cmd_partitions_compose(args: argparse.Namespace) -> int:
+def _cmd_partitions_compose(args: argparse.Namespace) -> Result:
     p = _load_partition(args.p)
     q = _load_partition(args.q)
     result = compose(p, q)
     payload = {
-        "result": result.result.to_dict(),
+        "result": result.result,
         "blocks_p": p.block_count,
         "blocks_q": q.block_count,
         "blocks_result": result.result.block_count,
         "central_blocks": result.central_blocks,
         "cycles": result.cycles,
     }
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(f"result: {result.result}")
-        for key in (
-            "blocks_p",
-            "blocks_q",
-            "blocks_result",
-            "central_blocks",
-            "cycles",
-        ):
-            print(f"{key}: {payload[key]}")
-    return 0
+    return payload, (f"{key}: {value}" for key, value in payload.items())
 
 
-def _cmd_partitions_adjoint(args: argparse.Namespace) -> int:
+def _cmd_partitions_adjoint(args: argparse.Namespace) -> Result:
     result = adjoint(_load_partition(args.partition))
-    if args.format == "json":
-        _print_json(result.to_dict())
-    else:
-        print(result)
-    return 0
+    return result, [result]
 
 
-def _cmd_partitions_tensor(args: argparse.Namespace) -> int:
+def _cmd_partitions_tensor(args: argparse.Namespace) -> Result:
     result = tensor(_load_partition(args.p), _load_partition(args.q))
-    if args.format == "json":
-        _print_json(result.to_dict())
-    else:
-        print(result)
-    return 0
+    return result, [result]
 
 
 # -- tensor maps --------------------------------------------------------------
 
 
-def _cmd_tmap_build(args: argparse.Namespace) -> int:
+def _cmd_tmap_build(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     p = _load_partition(args.partition)
-    t = build_map(algebra, p, max_entries=args.max_entries)
-    rows, cols = t.matrix.shape
-    if args.format == "json":
-        _print_json(
-            {
-                "algebra": algebra.to_dict(),
-                "partition": p.to_dict(),
-                "rows": rows,
-                "cols": cols,
-                "matrix": _matrix_rows(t.matrix),
-            }
-        )
-    elif args.format == "csv":
-        for row in t.matrix:
-            print(",".join(format(float(x), ".17g") for x in row))
-    else:
-        basis = " ".join(
-            f"({ix.block},{ix.row},{ix.col})" for ix in algebra.basis_indices()
-        )
-        print(f"matrix: {rows} x {cols}")
-        print(f"basis order (block,row,col): {basis}")
-        print("rows/columns are tuples over the basis, first factor most significant")
-        for row in t.matrix:
-            print(" ".join(format(float(x), ".10g") for x in row))
-    return 0
+    matrix = build_map(algebra, p, max_entries=args.max_entries).matrix
+    rows, cols = matrix.shape
+    payload = {
+        "algebra": algebra,
+        "partition": p,
+        "rows": rows,
+        "cols": cols,
+        "matrix": matrix,
+    }
+    if args.format == "csv":
+        return payload, (",".join(format(float(x), ".17g") for x in row) for row in matrix)
+    basis = " ".join(f"({ix.block},{ix.row},{ix.col})" for ix in algebra.basis_indices())
+    header = [
+        f"matrix: {rows} x {cols}",
+        f"basis order (block,row,col): {basis}",
+        "rows/columns are tuples over the basis, first factor most significant",
+    ]
+    body = (" ".join(format(float(x), ".10g") for x in row) for row in matrix)
+    return payload, itertools.chain(header, body)
 
 
-def _cmd_tmap_verify(args: argparse.Namespace) -> int:
+def _cmd_tmap_verify(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     p = _load_partition(args.p)
     q = _load_partition(args.q)
     deviation = verify_composition(algebra, p, q, max_entries=args.max_entries)
     cycles = compose(p, q).cycles
     ok = deviation <= args.tolerance
-    if args.format == "json":
-        _print_json(
-            {
-                "deviation": deviation,
-                "tolerance": args.tolerance,
-                "cycles": cycles,
-                "ok": ok,
-            }
-        )
-    else:
-        print(f"deviation: {deviation:.3e}")
-        print(f"tolerance: {args.tolerance:.3e}")
-        print(f"cycles: {cycles}")
-        print(f"ok: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+    payload = {
+        "deviation": deviation,
+        "tolerance": args.tolerance,
+        "cycles": cycles,
+        "ok": ok,
+    }
+    return payload, [
+        f"deviation: {deviation:.3e}",
+        f"tolerance: {args.tolerance:.3e}",
+        f"cycles: {cycles}",
+        f"ok: {'true' if ok else 'false'}",
+    ]
 
 
-def _cmd_tmap_gram_rank(args: argparse.Namespace) -> int:
+def _cmd_tmap_gram_rank(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     parts = enumerate_partitions(args.upper, args.lower, max_points=args.max_points)
-    maps = [build_map(algebra, p, max_entries=args.max_entries) for p in parts]
-    rank = gram_rank(maps)
-    if args.format == "json":
-        _print_json(
-            {
-                "upper": args.upper,
-                "lower": args.lower,
-                "count": len(parts),
-                "rank": rank,
-            }
-        )
-    else:
-        print(f"count: {len(parts)}")
-        print(f"rank: {rank}")
-    return 0
+    rank = gram_rank([build_map(algebra, p, max_entries=args.max_entries) for p in parts])
+    payload = {"upper": args.upper, "lower": args.lower, "count": len(parts), "rank": rank}
+    return payload, [f"count: {len(parts)}", f"rank: {rank}"]
 
 
 # -- algebra ------------------------------------------------------------------
@@ -344,7 +292,7 @@ def _algebra_path(args: argparse.Namespace) -> str:
     return path
 
 
-def _cmd_algebra_check(args: argparse.Namespace) -> int:
+def _cmd_algebra_check(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(_algebra_path(args))
     delta = algebra.is_delta_form(args.tolerance)
     payload = {
@@ -352,363 +300,224 @@ def _cmd_algebra_check(args: argparse.Namespace) -> int:
         "delta": delta,
         "factors": len(algebra.decompose_by_delta(args.tolerance)),
     }
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(json.dumps(payload))
-    return 0
+    return payload, [json.dumps(payload)]
 
 
-def _cmd_algebra_decompose(args: argparse.Namespace) -> int:
-    algebra = _load_algebra(_algebra_path(args))
-    factors = algebra.decompose_by_delta(args.tolerance)
-    if args.format == "json":
-        _print_json(
-            {
-                "factors": [
-                    {
-                        "delta": f.delta,
-                        "block_indices": list(f.block_indices),
-                        "algebra": f.algebra.to_dict(),
-                    }
-                    for f in factors
-                ]
-            }
-        )
-    else:
-        print(f"factors: {len(factors)}")
-        for rank, f in enumerate(factors, start=1):
-            blocks = ",".join(str(b) for b in f.block_indices)
-            sizes = ",".join(str(s) for s in f.algebra.block_sizes)
-            print(f"factor {rank}: delta={f.delta:g} blocks=[{blocks}] sizes=[{sizes}]")
-    return 0
+def _cmd_algebra_decompose(args: argparse.Namespace) -> Result:
+    factors = _load_algebra(_algebra_path(args)).decompose_by_delta(args.tolerance)
+    payload = {
+        "factors": [
+            {"delta": f.delta, "block_indices": list(f.block_indices), "algebra": f.algebra}
+            for f in factors
+        ]
+    }
+    lines = [f"factors: {len(factors)}"]
+    for rank, f in enumerate(factors, start=1):
+        blocks = ",".join(str(b) for b in f.block_indices)
+        sizes = ",".join(str(s) for s in f.algebra.block_sizes)
+        lines.append(f"factor {rank}: delta={f.delta:g} blocks=[{blocks}] sizes=[{sizes}]")
+    return payload, lines
 
 
 # -- decorated ----------------------------------------------------------------
 
 
-def _decorated_args(args: argparse.Namespace):
+def _cmd_decorated(args: argparse.Namespace) -> Result:
+    """``count`` and ``list`` share one payload; ``list`` adds the diagrams."""
     group = parse_group_spec(args.group)
     upper = parse_word_text(group, args.x)
     lower = parse_word_text(group, args.y)
-    return group, upper, lower
-
-
-def _cmd_decorated_count(args: argparse.Namespace) -> int:
-    group, upper, lower = _decorated_args(args)
     found = enumerate_decorated(group, upper, lower, max_points=args.max_points)
-    if args.format == "json":
-        _print_json(
-            {
-                "group": group.describe(),
-                "upper": [group.element_name(g) for g in upper],
-                "lower": [group.element_name(g) for g in lower],
-                "count": len(found),
-            }
-        )
-    else:
-        print(len(found))
-    return 0
-
-
-def _cmd_decorated_list(args: argparse.Namespace) -> int:
-    group, upper, lower = _decorated_args(args)
-    found = enumerate_decorated(group, upper, lower, max_points=args.max_points)
-    if args.format == "json":
-        _print_json(
-            {
-                "group": group.describe(),
-                "upper": [group.element_name(g) for g in upper],
-                "lower": [group.element_name(g) for g in lower],
-                "count": len(found),
-                "partitions": [dp.to_dict() for dp in found],
-            }
-        )
-    else:
-        for dp in found:
-            print(dp)
-    return 0
+    payload = {
+        "group": group.describe(),
+        "upper": Word(group, upper),
+        "lower": Word(group, lower),
+        "count": len(found),
+    }
+    if args.action == "count":
+        return payload, [len(found)]
+    return {**payload, "partitions": found}, found
 
 
 # -- fusion -------------------------------------------------------------------
 
 
-def _fusion_group(args: argparse.Namespace) -> Group:
-    return parse_group_spec(args.group)
+def _cmd_fusion_product(args: argparse.Namespace) -> Result:
+    group = parse_group_spec(args.group)
+    x = _parse_word(group, args.x)
+    y = _parse_word(group, args.y)
+    return _combination(fusion_product(x, y), format_word)
 
 
-def _cmd_fusion_product(args: argparse.Namespace) -> int:
-    group = _fusion_group(args)
-    x = Word(group, parse_word_text(group, args.x))
-    y = Word(group, parse_word_text(group, args.y))
-    _print_combination(
-        fusion_product(x, y), args.format, _word_combination_payload, format_word
-    )
-    return 0
-
-
-def _cmd_fusion_dim(args: argparse.Namespace) -> int:
-    group = _fusion_group(args)
-    word = Word(group, parse_word_text(group, args.word))
+def _cmd_fusion_dim(args: argparse.Namespace) -> Result:
+    group = parse_group_spec(args.group)
+    word = _parse_word(group, args.word)
     value = dimension(word, args.n)
-    if args.format == "json":
-        _print_json(
-            {
-                "group": group.describe(),
-                "word": word.names(),
-                "n": args.n,
-                "dimension": value,
-            }
-        )
-    else:
-        print(value)
-    return 0
+    payload = {"group": group.describe(), "word": word, "n": args.n, "dimension": value}
+    return payload, [value]
 
 
-def _cmd_fusion_trivial_mult(args: argparse.Namespace) -> int:
-    group = _fusion_group(args)
-    x = Word(group, parse_word_text(group, args.x))
-    y = Word(group, parse_word_text(group, args.y))
+def _cmd_fusion_trivial_mult(args: argparse.Namespace) -> Result:
+    group = parse_group_spec(args.group)
+    x = _parse_word(group, args.x)
+    y = _parse_word(group, args.y)
     value = multiplicity_of_trivial(x, y)
-    if args.format == "json":
-        _print_json(
-            {
-                "group": group.describe(),
-                "x": x.names(),
-                "y": y.names(),
-                "multiplicity": value,
-            }
-        )
-    else:
-        print(value)
-    return 0
+    payload = {"group": group.describe(), "x": x, "y": y, "multiplicity": value}
+    return payload, [value]
 
 
-def _cmd_fusion_a_trivial_mult(args: argparse.Namespace) -> int:
-    group = _fusion_group(args)
+def _cmd_fusion_a_trivial_mult(args: argparse.Namespace) -> Result:
+    group = parse_group_spec(args.group)
     letters = parse_word_text(group, args.word)
     value = a_rep_trivial_multiplicity(group, letters)
-    if args.format == "json":
-        _print_json(
-            {
-                "group": group.describe(),
-                "word": [group.element_name(g) for g in letters],
-                "multiplicity": value,
-            }
-        )
-    else:
-        print(value)
-    return 0
+    word = Word(group, letters)
+    payload = {"group": group.describe(), "word": word, "multiplicity": value}
+    return payload, [value]
 
 
-def _cmd_fusion_freeprod(args: argparse.Namespace) -> int:
+def _cmd_fusion_freeprod(args: argparse.Namespace) -> Result:
     rings = _parse_factors(args.factors)
     w1 = _parse_alternating(rings, args.x)
     w2 = _parse_alternating(rings, args.y)
-    _print_combination(
-        free_product_fusion(rings, w1, w2),
-        args.format,
-        _alternating_combination_payload,
-        format_alternating,
-    )
-    return 0
+    return _combination(free_product_fusion(rings, w1, w2), format_alternating)
 
 
-# -- parser wiring ------------------------------------------------------------
+# -- command table ------------------------------------------------------------
 
+_SHAPE = [
+    ("--upper", dict(type=int, required=True)),
+    ("--lower", dict(type=int, required=True)),
+]
+_MAX_POINTS = ("--max-points", dict(
+    type=int,
+    default=DEFAULT_MAX_POINTS,
+    help=f"refuse enumerations past this many points (default {DEFAULT_MAX_POINTS})",
+))
+_MAX_ENTRIES = ("--max-entries", dict(
+    type=int,
+    default=DEFAULT_MAX_ENTRIES,
+    help="refuse matrices with more entries than this",
+))
+_ALGEBRA = ("--algebra", dict(required=True, help="path to an algebra JSON file"))
+_ALGEBRA_INPUT = [
+    ("--algebra", dict(help="path to an algebra JSON file")),
+    ("--spec", dict(dest="spec", help="alias for --algebra", metavar="ALGEBRA")),
+    ("--tolerance", dict(type=float, default=DEFAULT_TOLERANCE)),
+]
+_PARTITION = ("--partition", dict(required=True, help="path to the diagram (JSON)"))
+_PQ = [
+    ("--p", dict(required=True, help="path to the first diagram (JSON)")),
+    ("--q", dict(required=True, help="path to the second diagram (JSON)")),
+]
+_LABELS = [
+    ("--group", dict(required=True, help="cyclic:<s>, integers, table:<path>")),
+    ("--x", dict(required=True, help="upper labels, comma-separated")),
+    ("--y", dict(required=True, help="lower labels, comma-separated")),
+    _MAX_POINTS,
+]
+_GROUP = ("--group", dict(required=True))
+_WORDS = [
+    _GROUP,
+    ("--x", dict(required=True, help="first word, comma-separated")),
+    ("--y", dict(required=True, help="second word, comma-separated")),
+]
 
-def _add_format(parser: argparse.ArgumentParser, *extra: str) -> None:
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", *extra],
-        default="text",
-        help="output format (default: text)",
-    )
-
-
-def _add_max_points(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-points",
-        type=int,
-        default=DEFAULT_MAX_POINTS,
-        help=f"refuse enumerations past this many points (default {DEFAULT_MAX_POINTS})",
-    )
-
-
-def _add_max_entries(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=DEFAULT_MAX_ENTRIES,
-        help="refuse matrices with more entries than this",
-    )
-
-
-def _add_algebra_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algebra", help="path to an algebra JSON file")
-    parser.add_argument(
-        "--spec", dest="spec", help="alias for --algebra", metavar="ALGEBRA"
-    )
-
+#: topic -> (help, [(action, handler, help, arguments, extra formats)]); every
+#: action also takes ``--format`` with ``text``, ``json`` and its extra formats.
+COMMANDS = {
+    "partitions": ("noncrossing diagram operations", [
+        ("enumerate", _cmd_partitions_enumerate, "list or count NC(upper, lower)", [
+            *_SHAPE,
+            ("--count-only", dict(action="store_true")),
+            _MAX_POINTS,
+        ], ()),
+        ("compose", _cmd_partitions_compose, "compose two diagrams (q after p)", _PQ, ()),
+        ("adjoint", _cmd_partitions_adjoint, "flip a diagram upside down", [
+            _PARTITION,
+        ], ()),
+        ("tensor", _cmd_partitions_tensor, "place two diagrams side by side", [
+            ("--p", dict(required=True, help="path to the left diagram (JSON)")),
+            ("--q", dict(required=True, help="path to the right diagram (JSON)")),
+        ], ()),
+    ]),
+    "tmap": ("diagram matrices over an algebra", [
+        ("build", _cmd_tmap_build, "assemble the matrix of one diagram", [
+            _ALGEBRA,
+            _PARTITION,
+            _MAX_ENTRIES,
+        ], ("csv",)),
+        ("verify", _cmd_tmap_verify,
+         "check the composition rescaling for a pair of diagrams", [
+            _ALGEBRA,
+            *_PQ,
+            ("--tolerance", dict(
+                type=float,
+                default=DEFAULT_TOLERANCE,
+                help=f"largest acceptable deviation (default {DEFAULT_TOLERANCE})",
+            )),
+            _MAX_ENTRIES,
+        ], ()),
+        ("gram-rank", _cmd_tmap_gram_rank,
+         "rank of the span of all NC(upper, lower) matrices", [
+            _ALGEBRA,
+            *_SHAPE,
+            _MAX_POINTS,
+            _MAX_ENTRIES,
+        ], ()),
+    ]),
+    "algebra": ("state analysis on an algebra file", [
+        ("check", _cmd_algebra_check, "report the delta-form status", _ALGEBRA_INPUT, ()),
+        ("decompose", _cmd_algebra_decompose,
+         "split into delta-form factors", _ALGEBRA_INPUT, ()),
+    ]),
+    "decorated": ("group-labeled diagrams", [
+        ("count", _cmd_decorated, "count admissible labelings", _LABELS, ()),
+        ("list", _cmd_decorated, "list admissible labelings", _LABELS, ()),
+    ]),
+    "fusion": ("word fusion ring operations", [
+        ("product", _cmd_fusion_product, "fuse two words", _WORDS, ()),
+        ("dim", _cmd_fusion_dim, "dimension of a word representation", [
+            _GROUP,
+            ("--word", dict(required=True, help="comma-separated word")),
+            ("--n", dict(type=int, required=True, help="dimension parameter (>= 4)")),
+        ], ()),
+        ("trivial-mult", _cmd_fusion_trivial_mult,
+         "multiplicity of the trivial word in a product", _WORDS, ()),
+        ("a-trivial-mult", _cmd_fusion_a_trivial_mult,
+         "multiplicity of the trivial representation in a product of basic ones", [
+             _GROUP,
+             ("--word", dict(required=True, help="comma-separated letters")),
+         ], ()),
+        ("freeprod", _cmd_fusion_freeprod, "fuse words across factor rings", [
+            ("--factors", dict(
+                required=True,
+                help='factor rings, e.g. "cyclic:2@4,cyclic:2@5" (<groupspec>@<dimension>)',
+            )),
+            ("--x", dict(
+                required=True, help='alternating word, e.g. "0:s,s|1:e" ("" is empty)'
+            )),
+            ("--y", dict(required=True, help='alternating word, e.g. "1:s" ("" is empty)')),
+        ], ()),
+    ]),
+}
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ncwreath", description=__doc__.splitlines()[0])
-    top = parser.add_subparsers(dest="topic", required=True)
-
-    # partitions ---------------------------------------------------------
-    partitions = top.add_parser("partitions", help="noncrossing diagram operations")
-    sub = partitions.add_subparsers(dest="action", required=True)
-
-    enum = sub.add_parser("enumerate", help="list or count NC(upper, lower)")
-    enum.add_argument("--upper", type=int, required=True)
-    enum.add_argument("--lower", type=int, required=True)
-    enum.add_argument("--count-only", action="store_true")
-    _add_max_points(enum)
-    _add_format(enum)
-    enum.set_defaults(handler=_cmd_partitions_enumerate)
-
-    comp = sub.add_parser("compose", help="compose two diagrams (q after p)")
-    comp.add_argument("--p", required=True, help="path to the first diagram (JSON)")
-    comp.add_argument("--q", required=True, help="path to the second diagram (JSON)")
-    _add_format(comp)
-    comp.set_defaults(handler=_cmd_partitions_compose)
-
-    adj = sub.add_parser("adjoint", help="flip a diagram upside down")
-    adj.add_argument("--partition", required=True, help="path to the diagram (JSON)")
-    _add_format(adj)
-    adj.set_defaults(handler=_cmd_partitions_adjoint)
-
-    tens = sub.add_parser("tensor", help="place two diagrams side by side")
-    tens.add_argument("--p", required=True, help="path to the left diagram (JSON)")
-    tens.add_argument("--q", required=True, help="path to the right diagram (JSON)")
-    _add_format(tens)
-    tens.set_defaults(handler=_cmd_partitions_tensor)
-
-    # tmap ----------------------------------------------------------------
-    tmap = top.add_parser("tmap", help="diagram matrices over an algebra")
-    sub = tmap.add_subparsers(dest="action", required=True)
-
-    build = sub.add_parser("build", help="assemble the matrix of one diagram")
-    build.add_argument("--algebra", required=True, help="path to an algebra JSON file")
-    build.add_argument("--partition", required=True, help="path to the diagram (JSON)")
-    _add_max_entries(build)
-    _add_format(build, "csv")
-    build.set_defaults(handler=_cmd_tmap_build)
-
-    verify = sub.add_parser(
-        "verify", help="check the composition rescaling for a pair of diagrams"
-    )
-    verify.add_argument("--algebra", required=True, help="path to an algebra JSON file")
-    verify.add_argument("--p", required=True, help="path to the first diagram (JSON)")
-    verify.add_argument("--q", required=True, help="path to the second diagram (JSON)")
-    verify.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"largest acceptable deviation (default {DEFAULT_TOLERANCE})",
-    )
-    _add_max_entries(verify)
-    _add_format(verify)
-    verify.set_defaults(handler=_cmd_tmap_verify)
-
-    rank = sub.add_parser(
-        "gram-rank", help="rank of the span of all NC(upper, lower) matrices"
-    )
-    rank.add_argument("--algebra", required=True, help="path to an algebra JSON file")
-    rank.add_argument("--upper", type=int, required=True)
-    rank.add_argument("--lower", type=int, required=True)
-    _add_max_points(rank)
-    _add_max_entries(rank)
-    _add_format(rank)
-    rank.set_defaults(handler=_cmd_tmap_gram_rank)
-
-    # algebra ---------------------------------------------------------------
-    algebra = top.add_parser("algebra", help="state analysis on an algebra file")
-    sub = algebra.add_subparsers(dest="action", required=True)
-
-    check = sub.add_parser("check", help="report the delta-form status")
-    _add_algebra_input(check)
-    check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    _add_format(check)
-    check.set_defaults(handler=_cmd_algebra_check)
-
-    decompose = sub.add_parser("decompose", help="split into delta-form factors")
-    _add_algebra_input(decompose)
-    decompose.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    _add_format(decompose)
-    decompose.set_defaults(handler=_cmd_algebra_decompose)
-
-    # decorated --------------------------------------------------------------
-    decorated = top.add_parser("decorated", help="group-labeled diagrams")
-    sub = decorated.add_subparsers(dest="action", required=True)
-
-    dcount = sub.add_parser("count", help="count admissible labelings")
-    dcount.add_argument("--group", required=True, help="cyclic:<s>, integers, table:<path>")
-    dcount.add_argument("--x", required=True, help="upper labels, comma-separated")
-    dcount.add_argument("--y", required=True, help="lower labels, comma-separated")
-    _add_max_points(dcount)
-    _add_format(dcount)
-    dcount.set_defaults(handler=_cmd_decorated_count)
-
-    dlist = sub.add_parser("list", help="list admissible labelings")
-    dlist.add_argument("--group", required=True, help="cyclic:<s>, integers, table:<path>")
-    dlist.add_argument("--x", required=True, help="upper labels, comma-separated")
-    dlist.add_argument("--y", required=True, help="lower labels, comma-separated")
-    _add_max_points(dlist)
-    _add_format(dlist)
-    dlist.set_defaults(handler=_cmd_decorated_list)
-
-    # fusion ------------------------------------------------------------------
-    fusion = top.add_parser("fusion", help="word fusion ring operations")
-    sub = fusion.add_subparsers(dest="action", required=True)
-
-    product = sub.add_parser("product", help="fuse two words")
-    product.add_argument("--group", required=True)
-    product.add_argument("--x", required=True, help="first word, comma-separated")
-    product.add_argument("--y", required=True, help="second word, comma-separated")
-    _add_format(product)
-    product.set_defaults(handler=_cmd_fusion_product)
-
-    dim = sub.add_parser("dim", help="dimension of a word representation")
-    dim.add_argument("--group", required=True)
-    dim.add_argument("--word", required=True, help="comma-separated word")
-    dim.add_argument("--n", type=int, required=True, help="dimension parameter (>= 4)")
-    _add_format(dim)
-    dim.set_defaults(handler=_cmd_fusion_dim)
-
-    tmult = sub.add_parser(
-        "trivial-mult", help="multiplicity of the trivial word in a product"
-    )
-    tmult.add_argument("--group", required=True)
-    tmult.add_argument("--x", required=True, help="first word, comma-separated")
-    tmult.add_argument("--y", required=True, help="second word, comma-separated")
-    _add_format(tmult)
-    tmult.set_defaults(handler=_cmd_fusion_trivial_mult)
-
-    amult = sub.add_parser(
-        "a-trivial-mult",
-        help="multiplicity of the trivial representation in a product of basic ones",
-    )
-    amult.add_argument("--group", required=True)
-    amult.add_argument("--word", required=True, help="comma-separated letters")
-    _add_format(amult)
-    amult.set_defaults(handler=_cmd_fusion_a_trivial_mult)
-
-    freeprod = sub.add_parser("freeprod", help="fuse words across factor rings")
-    freeprod.add_argument(
-        "--factors",
-        required=True,
-        help='factor rings, e.g. "cyclic:2@4,cyclic:2@5" (<groupspec>@<dimension>)',
-    )
-    freeprod.add_argument(
-        "--x", required=True, help='alternating word, e.g. "0:s,s|1:e" ("" is empty)'
-    )
-    freeprod.add_argument(
-        "--y", required=True, help='alternating word, e.g. "1:s" ("" is empty)'
-    )
-    _add_format(freeprod)
-    freeprod.set_defaults(handler=_cmd_fusion_freeprod)
-
+    topics = parser.add_subparsers(dest="topic", required=True)
+    for topic, (topic_help, commands) in COMMANDS.items():
+        sub = topics.add_parser(topic, help=topic_help)
+        actions = sub.add_subparsers(dest="action", required=True)
+        for action, handler, action_help, arguments, formats in commands:
+            command = actions.add_parser(action, help=action_help)
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+            command.add_argument(
+                "--format",
+                choices=["text", "json", *formats],
+                default="text",
+                help="output format (default: text)",
+            )
+            command.set_defaults(handler=handler)
     return parser
 
 
@@ -719,8 +528,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args)
+        # Results are exact integers of any size, so the int-to-str digit
+        # limit is lifted while they are written; input parsing keeps it.
+        # Python 3.10 releases before 3.10.7 have no limit.
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, default=_to_json))
+        else:
+            for line in lines:
+                print(line)
     except BoundError as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return 3
@@ -730,6 +550,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (NcwreathError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    return 0 if not isinstance(payload, dict) or payload.get("ok", True) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

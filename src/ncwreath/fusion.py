@@ -233,41 +233,28 @@ def free_product_fusion(
 ) -> Counter:
     """Fuse two alternating words over the given factor rings.
 
-    Distinct boundary factors concatenate; equal boundary factors fuse their
-    boundary labels inside that factor, splicing each nontrivial result and
-    recursing on the truncations weighted by the trivial multiplicity.
+    Distinct boundary factors concatenate. Equal boundary factors fuse their
+    boundary labels inside that factor: each nontrivial result is spliced in,
+    and the trivial one cancels the pair, so the truncated words fuse next,
+    weighted by the trivial multiplicities so far. The pairs are walked from
+    the boundary outwards, and each spliced word is emitted once.
     """
     rings = list(rings)
     _check_alternating_word(rings, w1)
     _check_alternating_word(rings, w2)
-    return _free_product_fusion(tuple(rings), w1, w2)
-
-
-def _free_product_fusion(
-    rings: tuple, w1: AlternatingWord, w2: AlternatingWord
-) -> Counter:
-    if not w1.entries:
-        return Counter({w2: 1})
-    if not w2.entries:
-        return Counter({w1: 1})
-    (i, a), (j, b) = w1.entries[-1], w2.entries[0]
-    if i != j:
-        return Counter({AlternatingWord(w1.entries + w2.entries): 1})
-    ring = rings[i]
     out: Counter = Counter()
-    combination = ring.fuse(a, b)
-    for label, mult in combination.items():
-        if len(label):
-            out[AlternatingWord(w1.entries[:-1] + ((i, label),) + w2.entries[1:])] += mult
-    trivial_mult = combination[ring.trivial()]
-    if trivial_mult:
-        inner = _free_product_fusion(
-            rings,
-            AlternatingWord(w1.entries[:-1]),
-            AlternatingWord(w2.entries[1:]),
-        )
-        for word, mult in inner.items():
-            out[word] += trivial_mult * mult
+    left, right, weight = w1.entries, w2.entries, 1
+    while left and right and left[-1][0] == right[0][0]:
+        (i, a), (_, b) = left[-1], right[0]
+        combination = rings[i].fuse(a, b)
+        for label, mult in combination.items():
+            if len(label):
+                out[AlternatingWord(left[:-1] + ((i, label),) + right[1:])] += weight * mult
+        weight *= combination[rings[i].trivial()]
+        if not weight:
+            return out
+        left, right = left[:-1], right[1:]
+    out[AlternatingWord(left + right)] += weight
     return out
 
 

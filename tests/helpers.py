@@ -7,10 +7,12 @@ library's own algorithms, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from ncwreath.algebra import MultiMatrixAlgebra
+from ncwreath.fusion import AlternatingWord
 from ncwreath.partitions import Partition, Point, parse_point
 
 
@@ -209,3 +211,36 @@ def word_dimension_from_the_right(group, letters, n: int) -> int:
         }
         after = shorter
     return level[letters[0]]
+
+
+def free_product_fusion_recursive(rings, w1, w2) -> Counter:
+    """Fusion of two alternating words by the recursive definition.
+
+    Distinct boundary factors concatenate; equal boundary factors fuse their
+    boundary labels inside that factor, splicing each nontrivial result and
+    recursing on the truncations weighted by the trivial multiplicity. The
+    recursion is one level per cancelled pair, so keep inputs short.
+    """
+    if not w1.entries:
+        return Counter({w2: 1})
+    if not w2.entries:
+        return Counter({w1: 1})
+    (i, a), (j, b) = w1.entries[-1], w2.entries[0]
+    if i != j:
+        return Counter({AlternatingWord(w1.entries + w2.entries): 1})
+    ring = rings[i]
+    out: Counter = Counter()
+    combination = ring.fuse(a, b)
+    for label, mult in combination.items():
+        if len(label):
+            out[AlternatingWord(w1.entries[:-1] + ((i, label),) + w2.entries[1:])] += mult
+    trivial_mult = combination[ring.trivial()]
+    if trivial_mult:
+        inner = free_product_fusion_recursive(
+            rings,
+            AlternatingWord(w1.entries[:-1]),
+            AlternatingWord(w2.entries[1:]),
+        )
+        for word, mult in inner.items():
+            out[word] += trivial_mult * mult
+    return out

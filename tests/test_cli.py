@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import sys
 import pytest
 
 from ncwreath.algebra import MultiMatrixAlgebra
-from ncwreath.cli import main, run
+from ncwreath.cli import COMMANDS, main, run
 from ncwreath.decorated import DecoratedPartition
 from ncwreath.groups import CyclicGroup
 from ncwreath.partitions import Partition, adjoint, enumerate_partitions
@@ -49,6 +51,19 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Read back integers longer than the interpreter's int-from-str limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestPartitionsCommands:
@@ -114,6 +129,17 @@ class TestPartitionsCommands:
         )
         assert code == 0
         assert out.strip() == "477638700"  # catalan(18)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_past_int_digit_limit(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "partitions", "enumerate", "--upper", "4000", "--lower", "4000",
+            "--count-only", "--max-points", "8000", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        with no_int_digit_limit():
+            count = json.loads(out)["count"] if fmt == "json" else int(out)
+        assert count == math.comb(16000, 8000) // 8001
 
     def test_compose_text(self, capsys, write_json):
         p = write_json("m.json", M_PAYLOAD)
@@ -463,6 +489,20 @@ class TestFusionCommands:
         assert (code, err) == (0, "")
         assert int(out) == word_dimension_from_the_right(CyclicGroup(2), letters, 5)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dim_past_int_digit_limit(self, capsys, fmt):
+        read_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = read_limit()
+        code, out, err = run_cli(
+            capsys, "fusion", "dim", "--group", "cyclic:2",
+            "--word", ",".join(["s"] * 3000), "--n", "100", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert read_limit() == limit
+        with no_int_digit_limit():
+            value = json.loads(out)["dimension"] if fmt == "json" else int(out)
+        assert value == word_dimension_from_the_right(CyclicGroup(2), (1,) * 3000, 100)
+
     def test_dim_small_n_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "fusion", "dim", "--group", "cyclic:2", "--word", "s", "--n", "3"
@@ -524,6 +564,19 @@ class TestFusionCommands:
             }
         ]
 
+    def test_freeprod_past_recursion_depth(self, capsys):
+        n = sys.getrecursionlimit() + 1
+        x = "|".join(f"{i % 2}:s" for i in range(n))
+        y = "|".join(f"{i % 2}:s" for i in reversed(range(n)))
+        code, out, err = run_cli(
+            capsys, "fusion", "freeprod", "--factors", "cyclic:2@4,cyclic:2@5",
+            "--x", x, "--y", y,
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 2 * n + 1
+        assert lines[0] == "∅: 1"
+
     def test_freeprod_bad_factor_index(self, capsys):
         code, _, err = run_cli(
             capsys, "fusion", "freeprod", "--factors", "cyclic:2@4",
@@ -582,3 +635,48 @@ class TestTopLevelBehavior:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "14"
+
+
+# One fixture command line per subcommand; a dict stands for a JSON file.
+COMMAND_FIXTURES = {
+    ("partitions", "enumerate"): ["--upper", "1", "--lower", "2"],
+    ("partitions", "compose"): ["--p", M_PAYLOAD, "--q", M_STAR_PAYLOAD],
+    ("partitions", "adjoint"): ["--partition", M_PAYLOAD],
+    ("partitions", "tensor"): ["--p", M_PAYLOAD, "--q", ID1_PAYLOAD],
+    ("tmap", "build"): ["--algebra", M2_UNIFORM, "--partition", M_PAYLOAD],
+    ("tmap", "verify"): ["--algebra", M2_UNIFORM, "--p", M_PAYLOAD, "--q", M_STAR_PAYLOAD],
+    ("tmap", "gram-rank"): ["--algebra", M2_UNIFORM, "--upper", "1", "--lower", "1"],
+    ("algebra", "check"): ["--algebra", M2_UNIFORM],
+    ("algebra", "decompose"): ["--algebra", MIXED],
+    ("decorated", "count"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
+    ("decorated", "list"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
+    ("fusion", "product"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
+    ("fusion", "dim"): ["--group", "cyclic:2", "--word", "s,s", "--n", "4"],
+    ("fusion", "trivial-mult"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
+    ("fusion", "a-trivial-mult"): ["--group", "cyclic:2", "--word", "e,e"],
+    ("fusion", "freeprod"): [
+        "--factors", "cyclic:2@4,cyclic:2@5", "--x", "0:s", "--y", "0:s|1:s",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "topic,action,fmt",
+    [
+        (topic, action, fmt)
+        for topic, (_, commands) in COMMANDS.items()
+        for action, _, _, _, formats in commands
+        for fmt in ("text", "json", *formats)
+    ],
+)
+def test_every_command_in_every_format(capsys, write_json, topic, action, fmt):
+    argv = [
+        write_json(f"arg{i}.json", arg) if isinstance(arg, dict) else arg
+        for i, arg in enumerate(COMMAND_FIXTURES[topic, action])
+    ]
+    code, out, err = run_cli(capsys, topic, action, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        json.loads(out)
+    else:
+        assert out.strip()

@@ -26,7 +26,11 @@ from ncwreath.fusion import (
 )
 from ncwreath.partitions import catalan
 
-from helpers import symmetric_group_dict, word_dimension_from_the_right
+from helpers import (
+    free_product_fusion_recursive,
+    symmetric_group_dict,
+    word_dimension_from_the_right,
+)
 
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
@@ -419,6 +423,38 @@ class TestFreeProductFusion:
             got = free_product_fusion(self.RINGS, w1, w2)
             total = sum(alt_dimension(w) * m for w, m in got.items())
             assert total == alt_dimension(w1) * alt_dimension(w2)
+
+    def test_matches_recursive_definition_on_long_words(self):
+        rings = (WordRing(Z2, 4), WordRing(Z3, 5), WordRing(S3, 6))
+        rng = random.Random(1200)
+
+        def label(factor):
+            group = rings[factor].group
+            elements = list(group.elements())
+            letters = [rng.choice(elements) for _ in range(rng.randint(1, 2))]
+            return Word(group, tuple(letters))
+
+        def extend(entries, count):
+            for _ in range(count):
+                last = entries[-1][0] if entries else None
+                factor = rng.choice([f for f in range(len(rings)) if f != last])
+                entries.append((factor, label(factor)))
+            return entries
+
+        # the oracle re-adds every deeper level: its time grows with the
+        # square of the cancelled length times the word length
+        for _ in range(20):
+            w1 = extend([], rng.randint(1, 200))
+            cut = rng.randint(0, min(len(w1), 50))
+            w2 = [(f, involution(x)) for f, x in reversed(w1[len(w1) - cut:])]
+            if w2 and rng.random() < 0.5:
+                at = rng.randrange(len(w2))
+                w2[at] = (w2[at][0], label(w2[at][0]))
+            w2 = extend(w2, rng.randint(0, 5))
+            a, b = AlternatingWord(tuple(w1)), AlternatingWord(tuple(w2))
+            assert free_product_fusion(rings, a, b) == free_product_fusion_recursive(
+                rings, a, b
+            )
 
     def test_factor_index_out_of_range_rejected(self):
         with pytest.raises(DomainError):
