@@ -29,8 +29,10 @@ exceptions into exit codes 2 and 3; exit code 1 comes from a payload whose
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import sys
 from typing import Any, Iterable, Optional, Sequence
 
@@ -179,6 +181,14 @@ def _to_json(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _amount(x: int) -> str:
+    """``x`` with its digits grouped, or its order of magnitude past 40
+    digits, where the exact value would be a wall of digits."""
+    if x < 10**40:
+        return f"{x:,}"
+    return f"about 10^{int(x.bit_length() * math.log10(2))}"
+
+
 def _combination(combination, text_fn) -> Result:
     """A fusion result sorted once: JSON terms and ``word: mult`` text lines."""
     terms = sorted_combination(combination)
@@ -276,6 +286,16 @@ def _cmd_tmap_verify(args: argparse.Namespace) -> Result:
 
 def _cmd_tmap_gram_rank(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
+    # The Gram matrix needs every map at once: bound the whole stack before
+    # enumerating or building anything.
+    count = hom_dimension(args.upper, args.lower, max_points=args.max_points)
+    n, points = algebra.dim, args.upper + args.lower
+    total = count * n**points
+    if total > args.max_entries:
+        raise BoundError(
+            f"{_amount(count)} maps × {n}^{points} entries = {_amount(total)} entries"
+            f" exceeds the configured bound of {_amount(args.max_entries)}"
+        )
     parts = enumerate_partitions(args.upper, args.lower, max_points=args.max_points)
     rank = gram_rank([build_map(algebra, p, max_entries=args.max_entries) for p in parts])
     payload = {"upper": args.upper, "lower": args.lower, "count": len(parts), "rank": rank}
@@ -501,7 +521,10 @@ COMMANDS = {
     ]),
 }
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process. Usage errors and
+    help look up ``sys.stdout`` and ``sys.stderr`` when they print."""
     parser = _Parser(prog="ncwreath", description=__doc__.splitlines()[0])
     topics = parser.add_subparsers(dest="topic", required=True)
     for topic, (topic_help, commands) in COMMANDS.items():

@@ -11,6 +11,15 @@ and columns by upper multi-indices, both in row-major canonical order (block,
 then row, then column within each tensor factor; first factor most
 significant).
 
+The matrices are extremely sparse: a block's factor is non-zero only on
+closed chains inside one matrix block of the algebra, ``sum(size ** legs)``
+of them. A bounded cache holds, per algebra and block shape, the chain
+table: the basis positions of every chain's legs and its coefficient.
+:func:`build_map` turns each block's chains into flat matrix offsets,
+takes the Cartesian product over the blocks (offsets added, coefficients
+multiplied) and scatters the result into a freshly allocated dense matrix,
+so every map owns its entries.
+
 The headline identities, checked numerically by the test suite:
 
 * tensor product of diagrams  ->  Kronecker product of matrices (exact);
@@ -129,60 +138,48 @@ def delta_coefficient(
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _block_factor(
+@functools.lru_cache(maxsize=256)
+def _block_entries(
     algebra: MultiMatrixAlgebra, n_upper: int, n_lower: int
-) -> np.ndarray:
-    """Dense tensor of the per-block coefficients for a block with the given
-    numbers of upper and lower legs. Axes: lower legs left to right, then
-    upper legs left to right, each running over the whole basis.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero coefficients of one block with the given numbers of
+    upper and lower legs, as ``(legs, coefs)``.
 
-    Nonzero entries live on chains inside a single matrix block: consecutive
+    Non-zeros live on closed chains inside a single matrix block: consecutive
     legs share their inner matrix entry, and the state ties the two free ends
-    of the upper chain to those of the lower chain.
+    of the upper chain to those of the lower chain. A chain is a closed walk
+    through ``n_upper + n_lower`` row/column values, so a block of size ``s``
+    holds ``s ** (n_upper + n_lower)`` of them. ``legs[t, c]`` is the basis
+    position of leg ``t`` of chain ``c`` (lower legs left to right, then
+    upper legs left to right) and ``coefs[c]`` its coefficient. Both arrays
+    are read-only: they are shared by every map built from this shape.
     """
-    n = algebra.dim
     u, d = n_upper, n_lower
-    out = np.zeros((n,) * (d + u))
-    for a, size in enumerate(algebra.block_sizes, start=1):
-        q = algebra.weights[a - 1]
-        inv_sqrt = [x**-0.5 for x in q]
-
-        def pos(row: int, col: int) -> int:
-            return algebra.basis_position(BasisIndex(a, row + 1, col + 1))
-
+    legs, coefs = [], []
+    offset = 0
+    for size, weights in zip(algebra.block_sizes, algebra.weights):
+        q = np.array(weights)
+        walk = np.indices((size,) * (u + d)).reshape(u + d, -1)
+        # vertices of the upper chain (xs) and of the lower chain (ys)
         if u and d:
-            for xs in itertools.product(range(size), repeat=u + 1):
-                c_up = 1.0
-                for t in range(1, u + 1):
-                    c_up *= inv_sqrt[xs[t]]
-                upper_pos = tuple(pos(xs[t - 1], xs[t]) for t in range(1, u + 1))
-                for mid in itertools.product(range(size), repeat=d - 1):
-                    ys = (xs[0], *mid, xs[-1])
-                    c_dn = 1.0
-                    for t in range(1, d + 1):
-                        c_dn *= inv_sqrt[ys[t]]
-                    lower_pos = tuple(pos(ys[t - 1], ys[t]) for t in range(1, d + 1))
-                    out[lower_pos + upper_pos] = c_up * c_dn * q[ys[-1]]
+            xs = walk[: u + 1]
+            ys = np.concatenate([walk[:1], walk[u + 1 :], walk[u : u + 1]])
         elif u:
-            for free in itertools.product(range(size), repeat=u):
-                xs = (*free, free[0])
-                c_up = 1.0
-                for t in range(1, u + 1):
-                    c_up *= inv_sqrt[xs[t]]
-                out[tuple(pos(xs[t - 1], xs[t]) for t in range(1, u + 1))] = (
-                    c_up * q[xs[0]]
-                )
+            xs, ys = np.concatenate([walk, walk[:1]]), walk[:1]
         else:
-            for free in itertools.product(range(size), repeat=d):
-                ys = (*free, free[0])
-                c_dn = 1.0
-                for t in range(1, d + 1):
-                    c_dn *= inv_sqrt[ys[t]]
-                out[tuple(pos(ys[t - 1], ys[t]) for t in range(1, d + 1))] = (
-                    c_dn * q[ys[0]]
-                )
-    return out
+            xs, ys = walk[:1], np.concatenate([walk, walk[:1]])
+        rows = np.concatenate([ys[:-1], xs[:-1]])
+        cols = np.concatenate([ys[1:], xs[1:]])
+        legs.append(offset + rows * size + cols)
+        # upper chain, lower chain, then the state on their shared end
+        scale = q[cols] ** -0.5
+        up, down = np.prod(scale[d:], axis=0), np.prod(scale[:d], axis=0)
+        coefs.append(up * down * q[cols[-1]])
+        offset += size * size
+    legs, coefs = np.concatenate(legs, axis=1), np.concatenate(coefs)
+    legs.flags.writeable = False
+    coefs.flags.writeable = False
+    return legs, coefs
 
 
 @dataclass(eq=False)
@@ -208,7 +205,12 @@ def build_map(
     *,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> TensorMap:
-    """Assemble the matrix of ``p`` as an outer product of per-block factors.
+    """Assemble the matrix of ``p`` from the non-zero chains of its blocks.
+
+    Each block contributes the flat offsets ``strides . legs`` of its chains
+    and their coefficients; the map's non-zeros are the Cartesian product of
+    these lists over the blocks (offsets added, coefficients multiplied),
+    scattered into a freshly allocated dense matrix.
 
     Raises :class:`BoundError` when the matrix would exceed ``max_entries``
     entries.
@@ -219,33 +221,24 @@ def build_map(
         raise BoundError(
             f"map matrix would hold {n}^{k + l} entries, over the bound {max_entries}"
         )
-    if not p.blocks:
-        matrix = np.ones((1, 1))
-        return TensorMap(algebra, p, matrix)
-    operands = []
+    out = np.zeros(n ** (l + k))
+    # Flat index strides: lower leg j is digit j - 1 from the left, upper leg
+    # i digit l + i - 1.
+    parts = []
     for block in p.blocks:
-        ups = [pt.index for pt in block if pt.side == "u"]
-        downs = [pt.index for pt in block if pt.side == "l"]
-        factor = _block_factor(algebra, len(ups), len(downs))
-        axes = [j - 1 for j in downs] + [l + i - 1 for i in ups]
-        operands.extend((factor, axes))
-    tensor = np.einsum(*operands, list(range(l + k)))
-    return TensorMap(algebra, p, np.asarray(tensor).reshape(n**l, n**k))
-
-
-def _build_map_by_definition(
-    algebra: MultiMatrixAlgebra, p: Partition
-) -> np.ndarray:
-    """Entry-by-entry assembly straight from :func:`delta_coefficient`;
-    quadratically slower, kept as the reference the fast path is tested against."""
-    basis = algebra.basis_indices()
-    rows = list(itertools.product(basis, repeat=p.lower))
-    cols = list(itertools.product(basis, repeat=p.upper))
-    out = np.zeros((len(rows), len(cols)))
-    for r, lower in enumerate(rows):
-        for c, upper in enumerate(cols):
-            out[r, c] = delta_coefficient(algebra, p, upper, lower)
-    return out
+        ups = [n ** (k - i) for side, i in block if side == "u"]
+        strides = [n ** (l + k - j) for side, j in block if side == "l"] + ups
+        legs, coefs = _block_entries(algebra, len(ups), len(strides) - len(ups))
+        parts.append((np.array(strides).dot(legs), coefs))
+    # Each next block goes outermost: the inner loops run over the long
+    # accumulated arrays, and coefficients multiply in block order, as in the
+    # entry-wise definition. The map of the empty diagram is the matrix (1).
+    flat, values = parts[0] if parts else (0, 1.0)
+    for offsets, coefs in parts[1:]:
+        flat = (offsets[:, None] + flat).ravel()
+        values = (coefs[:, None] * values).ravel()
+    out[flat] = values
+    return TensorMap(algebra, p, out.reshape(n**l, n**k))
 
 
 def multi_index(

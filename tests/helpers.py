@@ -11,9 +11,10 @@ from collections import Counter
 
 import numpy as np
 
-from ncwreath.algebra import MultiMatrixAlgebra
+from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
 from ncwreath.fusion import AlternatingWord
 from ncwreath.partitions import Partition, Point, parse_point
+from ncwreath.tensor_maps import delta_coefficient
 
 
 def make_partition(upper: int, lower: int, *blocks: str) -> Partition:
@@ -105,6 +106,31 @@ def linear_enumeration_oracle(upper: int, lower: int) -> list[Partition]:
     ]
 
 
+def random_noncrossing(rng, upper: int, lower: int) -> Partition:
+    """A random diagram of NC(upper, lower), not uniformly distributed.
+
+    Walks the bent line keeping a stack of open blocks: each position first
+    closes a random number of the innermost open blocks, then joins the
+    innermost one left or opens a new one. A closed block never grows
+    again, so no two blocks interleave.
+    """
+    blocks: list[list[int]] = []
+    stack: list[list[int]] = []
+    for pos in range(upper + lower):
+        while stack and rng.random() < 0.3:
+            stack.pop()
+        if stack and rng.random() < 0.5:
+            stack[-1].append(pos)
+        else:
+            blocks.append([pos])
+            stack.append(blocks[-1])
+
+    def to_point(pos: int) -> Point:
+        return Point("u", pos + 1) if pos < upper else Point("l", upper + lower - pos)
+
+    return Partition(upper, lower, tuple(tuple(map(to_point, b)) for b in blocks))
+
+
 def brute_force_nc(upper: int, lower: int) -> set[Partition]:
     """All of NC(upper, lower) by filtering every set partition of the points."""
     points = [Point("u", i) for i in range(1, upper + 1)] + [
@@ -163,6 +189,91 @@ class DenseModel:
         for ix in indices:
             out = self.multiply(out, self.normalized_basis_matrix(ix))
         return out
+
+
+def dense_block_factor(
+    algebra: MultiMatrixAlgebra, n_upper: int, n_lower: int
+) -> np.ndarray:
+    """Dense tensor of the per-block coefficients for a block with the given
+    numbers of upper and lower legs. Axes: lower legs left to right, then
+    upper legs left to right, each running over the whole basis.
+
+    Nonzero entries live on chains inside a single matrix block: consecutive
+    legs share their inner matrix entry, and the state ties the two free ends
+    of the upper chain to those of the lower chain.
+    """
+    n = algebra.dim
+    u, d = n_upper, n_lower
+    out = np.zeros((n,) * (d + u))
+    for a, size in enumerate(algebra.block_sizes, start=1):
+        q = algebra.weights[a - 1]
+        inv_sqrt = [x**-0.5 for x in q]
+
+        def pos(row: int, col: int) -> int:
+            return algebra.basis_position(BasisIndex(a, row + 1, col + 1))
+
+        if u and d:
+            for xs in itertools.product(range(size), repeat=u + 1):
+                c_up = 1.0
+                for t in range(1, u + 1):
+                    c_up *= inv_sqrt[xs[t]]
+                upper_pos = tuple(pos(xs[t - 1], xs[t]) for t in range(1, u + 1))
+                for mid in itertools.product(range(size), repeat=d - 1):
+                    ys = (xs[0], *mid, xs[-1])
+                    c_dn = 1.0
+                    for t in range(1, d + 1):
+                        c_dn *= inv_sqrt[ys[t]]
+                    lower_pos = tuple(pos(ys[t - 1], ys[t]) for t in range(1, d + 1))
+                    out[lower_pos + upper_pos] = c_up * c_dn * q[ys[-1]]
+        elif u:
+            for free in itertools.product(range(size), repeat=u):
+                xs = (*free, free[0])
+                c_up = 1.0
+                for t in range(1, u + 1):
+                    c_up *= inv_sqrt[xs[t]]
+                out[tuple(pos(xs[t - 1], xs[t]) for t in range(1, u + 1))] = (
+                    c_up * q[xs[0]]
+                )
+        else:
+            for free in itertools.product(range(size), repeat=d):
+                ys = (*free, free[0])
+                c_dn = 1.0
+                for t in range(1, d + 1):
+                    c_dn *= inv_sqrt[ys[t]]
+                out[tuple(pos(ys[t - 1], ys[t]) for t in range(1, d + 1))] = (
+                    c_dn * q[ys[0]]
+                )
+    return out
+
+
+def build_map_einsum(algebra: MultiMatrixAlgebra, p: Partition) -> np.ndarray:
+    """The matrix of ``p`` as one ``numpy.einsum`` over dense per-block
+    tensors, one axis per leg; no bound is checked."""
+    n = algebra.dim
+    k, l = p.upper, p.lower
+    if not p.blocks:
+        return np.ones((1, 1))
+    operands = []
+    for block in p.blocks:
+        ups = [pt.index for pt in block if pt.side == "u"]
+        downs = [pt.index for pt in block if pt.side == "l"]
+        operands.append(dense_block_factor(algebra, len(ups), len(downs)))
+        operands.append([j - 1 for j in downs] + [l + i - 1 for i in ups])
+    tensor = np.einsum(*operands, list(range(l + k)))
+    return np.array(tensor).reshape(n**l, n**k)
+
+
+def _build_map_by_definition(algebra: MultiMatrixAlgebra, p: Partition) -> np.ndarray:
+    """Entry-by-entry assembly straight from ``delta_coefficient``;
+    quadratically slower than either assembly, so keep diagrams small."""
+    basis = algebra.basis_indices()
+    rows = list(itertools.product(basis, repeat=p.lower))
+    cols = list(itertools.product(basis, repeat=p.upper))
+    out = np.zeros((len(rows), len(cols)))
+    for r, lower in enumerate(rows):
+        for c, upper in enumerate(cols):
+            out[r, c] = delta_coefficient(algebra, p, upper, lower)
+    return out
 
 
 def symmetric_group_dict(n: int) -> dict:

@@ -5,14 +5,16 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from ncwreath.algebra import MultiMatrixAlgebra
-from ncwreath.cli import COMMANDS, main, run
+from ncwreath.cli import COMMANDS, build_parser, main, run
 from ncwreath.decorated import DecoratedPartition
 from ncwreath.groups import CyclicGroup
 from ncwreath.partitions import Partition, adjoint, enumerate_partitions
@@ -330,6 +332,42 @@ class TestTmapCommands:
         payload = json.loads(out)
         assert payload == {"upper": 0, "lower": 4, "count": 14, "rank": 8}
 
+    def test_gram_rank_stack_bound(self, capsys, write_json):
+        # each 4^10-entry map passes the per-map bound; their stack does not
+        alg = write_json("alg.json", M2_UNIFORM)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "tmap", "gram-rank", "--algebra", alg, "--upper", "5", "--lower", "5"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "bound error: 16,796 maps × 4^10 entries = 17,611,882,496 entries"
+            " exceeds the configured bound of 16,777,216\n"
+        )
+
+    def test_gram_rank_stack_bound_is_the_total(self, capsys, write_json):
+        alg = write_json("alg.json", C4_UNIFORM)
+        shape = ["--upper", "0", "--lower", "4"]
+        code, out, _ = run_cli(
+            capsys, "tmap", "gram-rank", "--algebra", alg, *shape, "--max-entries", "3584"
+        )
+        assert (code, out.splitlines()) == (0, ["count: 14", "rank: 14"])
+        code, _, err = run_cli(
+            capsys, "tmap", "gram-rank", "--algebra", alg, *shape, "--max-entries", "3583"
+        )
+        assert code == 3
+        assert "14 maps × 4^4 entries = 3,584 entries" in err
+
+    def test_gram_rank_huge_stack_states_magnitudes(self, capsys, write_json):
+        alg = write_json("alg.json", M2_UNIFORM)
+        code, _, err = run_cli(
+            capsys, "tmap", "gram-rank", "--algebra", alg, "--upper", "2000",
+            "--lower", "2000", "--max-points", "4000",
+        )
+        assert code == 3
+        assert err.startswith("bound error: about 10^2402 maps × 4^4000 entries")
+
 
 class TestAlgebraCommands:
     def test_check_frozen_output(self, capsys, write_json):
@@ -622,6 +660,33 @@ class TestTopLevelBehavior:
         with pytest.raises(SystemExit) as info:
             main(["fusion", "dim", "--group", "cyclic:2", "--word", "s", "--n", "4"])
         assert info.value.code == 0
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_fresh_interpreters(self, capsys, monkeypatch):
+        # help and usage text wrap at the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["fusion", "dim", "--group", "cyclic:2"],
+            ["fusion", "dim", "--group", "cyclic:2", "--word", "s", "--n", "4"],
+            ["--help"],
+            ["tmap", "build", "--help"],
+            ["fusion", "dim", "--group", "cyclic:2", "--word", "s", "--n", "4", "--bogus"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 2]
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv, got in zip(sequence, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from ncwreath.cli import main; main()",
+                 *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=False,
+            )
+            assert got == (proc.returncode, proc.stdout, proc.stderr)
 
     def test_module_invocation(self):
         proc = subprocess.run(

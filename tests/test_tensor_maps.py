@@ -20,7 +20,7 @@ from ncwreath.partitions import (
 )
 from ncwreath.tensor_maps import (
     TensorMap,
-    _build_map_by_definition,
+    _block_entries,
     build_map,
     delta_coefficient,
     gram_rank,
@@ -29,7 +29,13 @@ from ncwreath.tensor_maps import (
     verify_composition,
 )
 
-from helpers import DenseModel, make_partition as P
+from helpers import (
+    DenseModel,
+    _build_map_by_definition,
+    build_map_einsum,
+    make_partition as P,
+    random_noncrossing,
+)
 
 C4_UNIFORM = MultiMatrixAlgebra((1, 1, 1, 1), ((0.25,), (0.25,), (0.25,), (0.25,)))
 M2_HALF = MultiMatrixAlgebra((2,), ((0.5, 0.5),))
@@ -171,6 +177,85 @@ class TestBuildMap:
         assert isinstance(t, TensorMap)
         assert (t.upper, t.lower) == (2, 1)
         assert t.matrix.shape == (4, 16)
+
+
+M2_NONTRACIAL = MultiMatrixAlgebra((2,), ((0.2, 0.8),))
+M2_PLUS_C = MultiMatrixAlgebra((2, 1), ((0.4, 0.4), (0.2,)))
+M3_SKEW = MultiMatrixAlgebra((3,), ((0.2, 0.3, 0.5),))
+ORACLE_ALGEBRAS = [M2_HALF, M2_NONTRACIAL, C4_UNIFORM, M2_PLUS_C, M3_SKEW]
+
+
+def expected_nonzeros(alg, p) -> int:
+    """Product over the blocks of sum over matrix blocks of size ** legs."""
+    count = 1
+    for block in p.blocks:
+        count *= sum(size ** len(block) for size in alg.block_sizes)
+    return count
+
+
+class TestSparseAssembly:
+    """The chain-table assembly against the dense einsum assembly and the
+    entry-by-entry definition."""
+
+    @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+    def test_every_small_diagram_matches_both_oracles(self, alg):
+        # the definition costs seconds per algebra at five points (minutes
+        # over M3), so it covers four points (three over M3)
+        by_definition = 3 if alg.dim > 5 else 4
+        for points in range(6):
+            for k in range(points + 1):
+                for p in enumerate_partitions(k, points - k):
+                    got = build_map(alg, p).matrix
+                    assert got.dtype == np.float64
+                    assert np.max(np.abs(got - build_map_einsum(alg, p))) <= 1e-12
+                    if points <= by_definition:
+                        slow = _build_map_by_definition(alg, p)
+                        assert np.max(np.abs(got - slow)) <= 1e-12
+                    assert np.count_nonzero(got) == expected_nonzeros(alg, p)
+
+    def test_random_large_diagrams_match_einsum(self):
+        rng = random.Random(1407)
+        algebras = [M2_HALF, M2_NONTRACIAL, C4_UNIFORM]
+        for _ in range(200):
+            points = rng.randint(8, 10)
+            k = rng.randint(0, points)
+            p = random_noncrossing(rng, k, points - k)
+            alg = rng.choice(algebras)
+            got = build_map(alg, p).matrix
+            assert got.shape == (alg.dim ** (points - k), alg.dim**k)
+            assert np.max(np.abs(got - build_map_einsum(alg, p))) <= 1e-12
+            assert np.count_nonzero(got) == expected_nonzeros(alg, p)
+
+    def test_dense_worst_case(self):
+        # ten singleton blocks over C^4: every one of the 4^10 entries is set
+        p = P(5, 5, *(f"u{i}" for i in range(1, 6)), *(f"l{j}" for j in range(1, 6)))
+        got = build_map(C4_UNIFORM, p).matrix
+        assert np.count_nonzero(got) == 4**10
+        assert np.max(np.abs(got - build_map_einsum(C4_UNIFORM, p))) <= 1e-12
+
+    def test_chain_table_is_bounded_and_read_only(self):
+        assert _block_entries.cache_info().maxsize is not None
+        legs, coefs = _block_entries(M2_PLUS_C, 2, 1)
+        assert legs.shape == (3, 2**3 + 1)
+        assert coefs.shape == (2**3 + 1,)
+        assert not legs.flags.writeable and not coefs.flags.writeable
+
+    def test_maps_do_not_share_memory(self):
+        p = P(2, 1, "u1 u2 l1")
+        first, second = build_map(M2_HALF, p), build_map(M2_HALF, p)
+        assert not np.shares_memory(first.matrix, second.matrix)
+        for q in (P(1, 0, "u1"), identity_partition(1), P(1, 1, "u1", "l1")):
+            again = build_map(M2_HALF, q).matrix
+            assert not np.shares_memory(build_map(M2_HALF, q).matrix, again)
+
+    def test_mutating_a_map_leaves_later_maps_intact(self):
+        p = P(2, 1, "u1 u2 l1")
+        t = build_map(M2_HALF, p)
+        t.matrix *= 0
+        for q in (p, P(3, 1, "u1 u2 l1", "u3"), P(3, 2, "u1 u3 l2", "u2", "l1")):
+            rebuilt = build_map(M2_HALF, q).matrix
+            assert np.max(np.abs(rebuilt - build_map_einsum(M2_HALF, q))) <= 1e-12
+            assert np.count_nonzero(rebuilt) == expected_nonzeros(M2_HALF, q)
 
 
 class TestMultiIndex:
