@@ -6,13 +6,16 @@ equals the product of the lower labels (left to right), an absent side
 counting as the identity. Admissible diagrams enumerate the intertwiner
 spaces between tensor products of the basic representations ``a(g)``, so
 counting them computes Hom-space dimensions.
+
+Labels are checked once, when they enter (``is_admissible``, the enumeration,
+``DecoratedPartition(...)`` and ``from_dict``); the diagrams the enumeration
+builds from checked labels are not re-checked.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ShapeError, ValidationError
 from .groups import Group
@@ -30,16 +33,20 @@ __all__ = [
 ]
 
 
-def _split_labels(
-    p: Partition, upper_labels: Sequence[Any], lower_labels: Sequence[Any]
-) -> list[tuple[list[Any], list[Any]]]:
-    """Per block, the (upper, lower) label sequences in left-to-right order."""
-    out = []
+def _balanced(group: Group, p: Partition, upper: Sequence[Any], lower: Sequence[Any]) -> bool:
+    """Whether each block's upper-label product equals its lower-label
+    product, both taken in block order; the labels are already checked."""
+    mul, identity = group.mul, group.identity()
     for block in p.blocks:
-        ups = [upper_labels[pt.index - 1] for pt in block if pt.side == "u"]
-        downs = [lower_labels[pt.index - 1] for pt in block if pt.side == "l"]
-        out.append((ups, downs))
-    return out
+        up = down = identity
+        for side, index in block:
+            if side == "u":
+                up = mul(up, upper[index - 1])
+            else:
+                down = mul(down, lower[index - 1])
+        if up != down:
+            return False
+    return True
 
 
 def is_admissible(
@@ -61,10 +68,7 @@ def is_admissible(
         )
     for g in (*upper_labels, *lower_labels):
         group.check(g)
-    return all(
-        group.product(ups) == group.product(downs)
-        for ups, downs in _split_labels(p, upper_labels, lower_labels)
-    )
+    return _balanced(group, p, upper_labels, lower_labels)
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,21 @@ class DecoratedPartition:
         return cls(group, partition, upper, lower)
 
 
+def _decorated(group: Group, p: Partition, upper: tuple, lower: tuple) -> DecoratedPartition:
+    """Wrap a diagram already admissible for its checked labels, with no checks."""
+    d = object.__new__(DecoratedPartition)
+    d.__dict__.update(group=group, partition=p, upper_labels=upper, lower_labels=lower)
+    return d
+
+
+def _admissible(group: Group, upper: tuple, lower: tuple, max_points: int) -> Iterator[Partition]:
+    """The diagrams admissible for already checked labels, in the order of the
+    underlying partition enumeration."""
+    for p in enumerate_partitions(len(upper), len(lower), max_points=max_points):
+        if _balanced(group, p, upper, lower):
+            yield p
+
+
 def enumerate_decorated(
     group: Group,
     upper_labels: Sequence[Any],
@@ -133,13 +152,10 @@ def enumerate_decorated(
     underlying partition enumeration."""
     upper_labels = tuple(group.check(g) for g in upper_labels)
     lower_labels = tuple(group.check(g) for g in lower_labels)
-    out = []
-    for p in enumerate_partitions(
-        len(upper_labels), len(lower_labels), max_points=max_points
-    ):
-        if is_admissible(group, p, upper_labels, lower_labels):
-            out.append(DecoratedPartition(group, p, upper_labels, lower_labels))
-    return out
+    return [
+        _decorated(group, p, upper_labels, lower_labels)
+        for p in _admissible(group, upper_labels, lower_labels, max_points)
+    ]
 
 
 def decorated_hom_dimension(
@@ -148,33 +164,10 @@ def decorated_hom_dimension(
     lower_labels: Sequence[Any],
     *,
     max_points: int = DEFAULT_MAX_POINTS,
-    cross_check: bool = False,
 ) -> int:
     """Dimension of the intertwiner space between the representation tensor
     products labeled by the rows (valid whenever the underlying algebra has
-    dimension at least four).
-
-    With ``cross_check=True`` the count is compared against the fusion-ring
-    multiplicity of the trivial representation in the equivalent one-row
-    problem (upper labels inverted and reversed, then the lower labels); a
-    disagreement — possible only through the within-block product-order
-    convention on nonabelian groups — is reported as a warning, not an error.
-    """
-    count = len(
-        enumerate_decorated(group, upper_labels, lower_labels, max_points=max_points)
-    )
-    if cross_check:
-        from .fusion import a_rep_trivial_multiplicity
-
-        letters = tuple(group.inv(g) for g in reversed(tuple(upper_labels)))
-        letters += tuple(lower_labels)
-        other = a_rep_trivial_multiplicity(group, letters)
-        if other != count:
-            warnings.warn(
-                f"admissible-diagram count {count} disagrees with the "
-                f"fusion-ring trivial multiplicity {other} for labels "
-                f"{[group.element_name(g) for g in letters]}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return count
+    dimension at least four)."""
+    upper_labels = tuple(group.check(g) for g in upper_labels)
+    lower_labels = tuple(group.check(g) for g in lower_labels)
+    return sum(1 for _ in _admissible(group, upper_labels, lower_labels, max_points))

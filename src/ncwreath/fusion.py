@@ -12,6 +12,9 @@ A dimension homomorphism evaluates words against the dimension ``n`` of the
 underlying algebra, and a free-product layer fuses alternating words over
 several factor rings, covering states that split into several delta-form
 factors.
+
+Letters are checked once, when they enter (``Word(...)`` and
+``a_rep_trivial_multiplicity``); the words built from them are not re-checked.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ class Word:
         return [self.group.element_name(g) for g in self.letters]
 
 
+def _word(group: Group, letters: tuple) -> Word:
+    """Wrap letters that are already elements of ``group``, with no checks."""
+    w = object.__new__(Word)
+    w.__dict__.update(group=group, letters=letters)
+    return w
+
+
 def _same_group(x: Word, y: Word) -> Group:
     if x.group != y.group:
         raise DomainError("words belong to different groups")
@@ -91,19 +101,20 @@ def fusion_product(x: Word, y: Word) -> Counter:
     Every suffix ``t`` of ``x`` whose involution is a prefix of ``y``
     contributes the concatenation of the remainders, plus their fusion when
     both remainders are nonempty; the returned counter maps words to
-    multiplicities.
+    multiplicities. The cancelling cuts form an initial run: cut ``c`` also
+    needs ``x[-c] y[c-1] = e``, so the scan stops at the first cut that fails.
     """
     group = _same_group(x, y)
+    a, b = x.letters, y.letters
+    mul, identity = group.mul, group.identity()
     out: Counter = Counter()
-    for cut in range(min(len(x), len(y)) + 1):
-        suffix = Word(group, x.letters[len(x) - cut :])
-        if involution(suffix).letters != y.letters[:cut]:
-            continue
-        u = Word(group, x.letters[: len(x) - cut])
-        v = Word(group, y.letters[cut:])
-        out[concat(u, v)] += 1
-        if u.letters and v.letters:
-            out[fuse_words(u, v)] += 1
+    for cut in range(min(len(a), len(b)) + 1):
+        if cut and mul(a[len(a) - cut], b[cut - 1]) != identity:
+            break
+        u, v = a[: len(a) - cut], b[cut:]
+        out[_word(group, u + v)] += 1
+        if u and v:
+            out[_word(group, u[:-1] + (mul(u[-1], v[0]),) + v[1:])] += 1
     return out
 
 
@@ -152,10 +163,11 @@ def a_rep_trivial_multiplicity(group: Group, letters: Sequence[Any]) -> int:
     within the remaining steps are dropped early.
     """
     letters = tuple(group.check(g) for g in letters)
-    state: Counter = Counter({Word(group, ()): 1})
+    empty = _word(group, ())
+    state: Counter = Counter({empty: 1})
     for step, g in enumerate(letters):
         remaining = len(letters) - step - 1
-        single = Word(group, (g,))
+        single = _word(group, (g,))
         is_identity = g == group.identity()
         next_state: Counter = Counter()
         for word, mult in state.items():
@@ -165,13 +177,13 @@ def a_rep_trivial_multiplicity(group: Group, letters: Sequence[Any]) -> int:
                 if len(product) <= remaining:
                     next_state[product] += mult * extra
         state = next_state
-    return state[Word(group, ())]
+    return state[empty]
 
 
 @dataclass(frozen=True)
 class WordRing:
     """The word fusion ring attached to one algebra factor of dimension
-    ``dim``; the factor interface used by free products."""
+    ``dim``: one factor of a free product, named by its group."""
 
     group: Group
     dim: int
@@ -181,18 +193,6 @@ class WordRing:
             raise DomainError(
                 f"factor rings need dimension >= {MIN_FUSION_DIM}, got {self.dim}"
             )
-
-    def trivial(self) -> Word:
-        return Word(self.group, ())
-
-    def involution(self, x: Word) -> Word:
-        return involution(x)
-
-    def fuse(self, x: Word, y: Word) -> Counter:
-        return fusion_product(x, y)
-
-    def dimension_of(self, x: Word) -> int:
-        return dimension(x, self.dim)
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,11 @@ def free_product_fusion(
     left, right, weight = w1.entries, w2.entries, 1
     while left and right and left[-1][0] == right[0][0]:
         (i, a), (_, b) = left[-1], right[0]
-        combination = rings[i].fuse(a, b)
+        combination = fusion_product(a, b)
         for label, mult in combination.items():
             if len(label):
                 out[AlternatingWord(left[:-1] + ((i, label),) + right[1:])] += weight * mult
-        weight *= combination[rings[i].trivial()]
+        weight *= combination[_word(a.group, ())]
         if not weight:
             return out
         left, right = left[:-1], right[1:]

@@ -179,13 +179,13 @@ class TableGroup(Group):
             raise ValidationError("group table needs at least one element")
         if len(set(names)) != n:
             raise ValidationError("group element names must be distinct")
-        if not 0 <= self.identity_index < n:
+        if isinstance(self.identity_index, bool) or not 0 <= self.identity_index < n:
             raise ValidationError("identity is not among the elements")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValidationError("multiplication table must be square")
         for row in table:
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < n:
+                if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < n:
                     raise ValidationError(f"table entry {entry!r} out of range")
         e = self.identity_index
         for i in range(n):

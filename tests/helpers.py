@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
-from ncwreath.fusion import AlternatingWord
+from ncwreath.fusion import AlternatingWord, Word, concat, fuse_words, involution
 from ncwreath.partitions import Partition, Point, parse_point
 from ncwreath.tensor_maps import delta_coefficient
 
@@ -292,6 +292,46 @@ def symmetric_group_dict(n: int) -> dict:
     return {"elements": names, "identity": "e", "table": table}
 
 
+def dihedral_group_dict(n: int) -> dict:
+    """Multiplication-table payload for the dihedral group of order ``2n``.
+
+    Element ``(f, k)`` is the map ``i -> (-1)^f i + k`` on ``Z/n``, named
+    ``r<k>`` (a rotation) or ``t<k>`` (a reflection), with ``r0`` named "e";
+    composition applies the right factor first.
+    """
+    elements = [(f, k) for f in (0, 1) for k in range(n)]
+    names = ["e" if (f, k) == (0, 0) else f"{'rt'[f]}{k}" for f, k in elements]
+    index = {x: i for i, x in enumerate(elements)}
+
+    def compose(a, b):
+        (fa, ka), (fb, kb) = a, b
+        return ((fa + fb) % 2, (ka + (-1) ** fa * kb) % n)
+
+    table = [[index[compose(a, b)] for b in elements] for a in elements]
+    return {"elements": names, "identity": "e", "table": table}
+
+
+def fusion_product_by_definition(x: Word, y: Word) -> Counter:
+    """The fusion product tried at every cut, from validated words.
+
+    Cut ``c`` contributes when the involution of the last ``c`` letters of
+    ``x`` is the first ``c`` letters of ``y``: the concatenation of the
+    remainders, and their fusion when both are nonempty.
+    """
+    group = x.group
+    out: Counter = Counter()
+    for cut in range(min(len(x), len(y)) + 1):
+        suffix = Word(group, x.letters[len(x) - cut :])
+        if involution(suffix).letters != y.letters[:cut]:
+            continue
+        u = Word(group, x.letters[: len(x) - cut])
+        v = Word(group, y.letters[cut:])
+        out[concat(u, v)] += 1
+        if u.letters and v.letters:
+            out[fuse_words(u, v)] += 1
+    return out
+
+
 def word_dimension_from_the_right(group, letters, n: int) -> int:
     """Dimension of a word over a finite group, evaluated right to left.
 
@@ -324,7 +364,7 @@ def word_dimension_from_the_right(group, letters, n: int) -> int:
     return level[letters[0]]
 
 
-def free_product_fusion_recursive(rings, w1, w2) -> Counter:
+def free_product_fusion_recursive(w1, w2) -> Counter:
     """Fusion of two alternating words by the recursive definition.
 
     Distinct boundary factors concatenate; equal boundary factors fuse their
@@ -339,16 +379,14 @@ def free_product_fusion_recursive(rings, w1, w2) -> Counter:
     (i, a), (j, b) = w1.entries[-1], w2.entries[0]
     if i != j:
         return Counter({AlternatingWord(w1.entries + w2.entries): 1})
-    ring = rings[i]
     out: Counter = Counter()
-    combination = ring.fuse(a, b)
+    combination = fusion_product_by_definition(a, b)
     for label, mult in combination.items():
         if len(label):
             out[AlternatingWord(w1.entries[:-1] + ((i, label),) + w2.entries[1:])] += mult
-    trivial_mult = combination[ring.trivial()]
+    trivial_mult = combination[Word(a.group, ())]
     if trivial_mult:
         inner = free_product_fusion_recursive(
-            rings,
             AlternatingWord(w1.entries[:-1]),
             AlternatingWord(w2.entries[1:]),
         )

@@ -639,6 +639,17 @@ class TestFusionCommands:
         assert code == 2
         assert err.startswith("parse error:")
 
+    def test_boolean_table_rejected_on_load(self, capsys, write_json):
+        path = write_json(
+            "bool.json", {"elements": ["e", "s"], "identity": "e", "table": [[0, True], [True, 0]]}
+        )
+        code, out, err = run_cli(
+            capsys, "fusion", "product", "--group", f"table:{path}", "--x", "s", "--y", "e"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: table entry True")
+
 
 class TestTopLevelBehavior:
     def test_unknown_topic(self, capsys):

@@ -14,15 +14,28 @@ from ncwreath.decorated import (
     is_admissible,
 )
 from ncwreath.errors import BoundError, DomainError, ShapeError, ValidationError
+from ncwreath.fusion import a_rep_trivial_multiplicity
 from ncwreath.groups import CyclicGroup, IntegerGroup, TableGroup
 from ncwreath.partitions import adjoint, catalan, compose, enumerate_partitions, tensor
 from ncwreath.tensor_maps import build_map, gram_rank
 
-from helpers import make_partition as P, symmetric_group_dict
+from helpers import dihedral_group_dict, make_partition as P, symmetric_group_dict
 
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
 S3 = TableGroup.from_dict(symmetric_group_dict(3))
+D4 = TableGroup.from_dict(dihedral_group_dict(4))
+
+
+def label_rows(group, max_upper: int, max_points: int):
+    """Every (upper, lower) pair of label rows with at most ``max_upper``
+    upper labels and at most ``max_points`` labels in all."""
+    elems = list(group.elements())
+    for k in range(max_upper + 1):
+        for l in range(max_points - k + 1):
+            for upper in itertools.product(elems, repeat=k):
+                for lower in itertools.product(elems, repeat=l):
+                    yield upper, lower
 
 C4_UNIFORM = MultiMatrixAlgebra((1, 1, 1, 1), ((0.25,), (0.25,), (0.25,), (0.25,)))
 M2_HALF = MultiMatrixAlgebra((2,), ((0.5, 0.5),))
@@ -113,6 +126,17 @@ class TestEnumerateDecorated:
         with pytest.raises(BoundError):
             enumerate_decorated(Z2, (), (0,) * 5, max_points=4)
 
+    @pytest.mark.parametrize("group", [Z2, Z3, S3])
+    def test_matches_validated_filter(self, group):
+        for upper, lower in label_rows(group, 4, 4):
+            want = [
+                DecoratedPartition(group, p, upper, lower)
+                for p in enumerate_partitions(len(upper), len(lower))
+                if is_admissible(group, p, upper, lower)
+            ]
+            assert enumerate_decorated(group, upper, lower) == want
+            assert decorated_hom_dimension(group, upper, lower) == len(want)
+
 
 class TestDecoratedHomDimension:
     @pytest.mark.parametrize("group", [Z2, Z3, S3])
@@ -130,13 +154,24 @@ class TestDecoratedHomDimension:
     def test_generator_pair(self):
         assert decorated_hom_dimension(Z2, (), (1, 1)) == 1
 
-    def test_cross_check_agrees_silently_for_abelian(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = decorated_hom_dimension(Z3, (1, 2), (1, 2), cross_check=True)
-        assert got == decorated_hom_dimension(Z3, (1, 2), (1, 2))
+    @pytest.mark.parametrize(
+        "group,max_upper,max_points,cases",
+        [(Z3, 2, 4, 358), (S3, 2, 4, 4657), (D4, 0, 4, 4681), (D4, 2, 3, 1745)],
+        ids=["Z3", "S3-two-row", "D4-one-row", "D4-two-row"],
+    )
+    def test_equals_fusion_ring_trivial_multiplicity(self, group, max_upper, max_points, cases):
+        # bending the upper row down (inverted, reversed) gives the one-row
+        # problem that the fusion ring counts; nonabelian groups included
+        seen, mismatches = 0, []
+        for upper, lower in label_rows(group, max_upper, max_points):
+            seen += 1
+            bent = tuple(group.inv(g) for g in reversed(upper)) + lower
+            if decorated_hom_dimension(group, upper, lower) != a_rep_trivial_multiplicity(
+                group, bent
+            ):
+                mismatches.append((upper, lower))
+        assert seen == cases
+        assert mismatches == []
 
 
 class TestFrobeniusBending:

@@ -166,6 +166,15 @@ class TestTableGroup:
                 {"elements": ["e", "a", "b", "c", "d"], "identity": "e", "table": table}
             )
 
+    def test_boolean_entries_rejected(self):
+        # True == 1, so a table of booleans would otherwise pass every axiom
+        with pytest.raises(ValidationError, match="table entry True"):
+            TableGroup.from_dict(
+                {"elements": ["e", "s"], "identity": "e", "table": [[0, True], [True, 0]]}
+            )
+        with pytest.raises(ValidationError):
+            TableGroup(("e", "s"), False, ((0, 1), (1, 0)))
+
     def test_parse_unknown_name_rejected(self):
         g = TableGroup.from_dict(symmetric_group_dict(3))
         with pytest.raises(ValidationError):
