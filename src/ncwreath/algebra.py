@@ -215,8 +215,11 @@ class MultiMatrixAlgebra:
         for entry in blocks:
             if not isinstance(entry, dict) or "size" not in entry or "q" not in entry:
                 raise ValidationError("each block needs 'size' and 'q'")
+            size = entry["size"]
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValidationError(f"block size must be an integer, got {size!r}")
+            sizes.append(size)
             try:
-                sizes.append(int(entry["size"]))
                 weights.append(tuple(float(x) for x in entry["q"]))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad block entry: {exc}") from None

@@ -33,20 +33,30 @@ __all__ = [
 ]
 
 
-def _balanced(group: Group, p: Partition, upper: Sequence[Any], lower: Sequence[Any]) -> bool:
-    """Whether each block's upper-label product equals its lower-label
-    product, both taken in block order; the labels are already checked."""
+def _line(group: Group, upper: Sequence[Any], lower: Sequence[Any]) -> list:
+    """The labels along the bent line: upper labels, then inverted lower
+    labels from right to left."""
+    return [*upper, *map(group.inv, reversed(lower))]
+
+
+def _balanced(group: Group, heads: tuple[int, ...], line: Sequence[Any]) -> bool:
+    """Whether every block's running product along the bent line (see
+    :func:`_line`) is the identity, that is, whether its upper-label product
+    equals its lower-label product; the labels are already checked."""
     mul, identity = group.mul, group.identity()
-    for block in p.blocks:
-        up = down = identity
-        for side, index in block:
-            if side == "u":
-                up = mul(up, upper[index - 1])
-            else:
-                down = mul(down, lower[index - 1])
-        if up != down:
-            return False
-    return True
+    stack: list[list] = []  # [head, running product] of each open block
+    for pos, head in enumerate(heads):
+        if head == pos:
+            stack.append([head, line[pos]])
+            continue
+        top = stack[-1]
+        while top[0] != head:  # every block opened after ``head`` is closed
+            if top[1] != identity:
+                return False
+            stack.pop()
+            top = stack[-1]
+        top[1] = mul(top[1], line[pos])
+    return all(product == identity for _, product in stack)
 
 
 def is_admissible(
@@ -68,7 +78,7 @@ def is_admissible(
         )
     for g in (*upper_labels, *lower_labels):
         group.check(g)
-    return _balanced(group, p, upper_labels, lower_labels)
+    return _balanced(group, p.heads, _line(group, upper_labels, lower_labels))
 
 
 @dataclass(frozen=True)
@@ -136,8 +146,9 @@ def _decorated(group: Group, p: Partition, upper: tuple, lower: tuple) -> Decora
 def _admissible(group: Group, upper: tuple, lower: tuple, max_points: int) -> Iterator[Partition]:
     """The diagrams admissible for already checked labels, in the order of the
     underlying partition enumeration."""
+    line = _line(group, upper, lower)
     for p in enumerate_partitions(len(upper), len(lower), max_points=max_points):
-        if _balanced(group, p, upper, lower):
+        if _balanced(group, p.heads, line):
             yield p
 
 

@@ -3,7 +3,16 @@
 A diagram in ``NC(k, l)`` partitions ``k`` upper points ``u1..uk`` and ``l``
 lower points ``l1..ll`` into blocks such that, after placing the points on a
 line — upper row left to right, then the lower row bent around the right edge
-(i.e. in reversed order ``ll .. l1``) — no two blocks interleave.
+(i.e. in reversed order ``ll .. l1``) — no two blocks interleave. The points
+take the bent-line positions ``0 .. k+l-1`` in that order.
+
+A diagram is stored as its *heads*: for each bent-line position, the position
+of the first point of its block. The identity of ``NC(2, 2)`` (``u1 l1 |
+u2 l2``) has heads ``(0, 1, 1, 0)``. Heads are canonical, so equality and
+hashing are one tuple operation, and they name blocks by absolute positions,
+so the heads of adjacent intervals concatenate. The ``blocks`` view lists the
+points in *canonical order*: blocks by their first bent-line position, and
+within a block the upper points by index, then the lower points by index.
 
 The module provides enumeration, the three diagram operations (tensor,
 composition, adjoint), and the combinatorial bookkeeping attached to
@@ -13,19 +22,19 @@ composition: the count of removed central blocks and the cycle exponent
 
 where ``l`` is the number of identified middle points and ``b`` counts blocks.
 
-Diagrams are validated at the edge and trusted inside. Input from outside —
-the public :class:`Partition` constructor and :meth:`Partition.from_dict` —
-passes one validator that checks the point cover and the noncrossing
-property and puts the blocks in canonical order. Enumeration, composition,
-tensor, adjoint and the identity produce diagrams that are noncrossing by
-construction; they order their blocks canonically themselves and wrap them
-without re-checking.
+Diagrams are validated at the edge and trusted inside. The public
+:class:`Partition` constructor and :meth:`Partition.from_dict` pass one
+validator that checks the point cover and the noncrossing property and
+computes the heads; enumeration and the operations compute the heads of
+noncrossing diagrams directly and wrap them without re-checking.
 
 Everything here is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -79,22 +88,22 @@ def parse_point(token: str) -> Point:
     return Point(token[0], index)
 
 
-def _point_key(point: Point) -> tuple[int, int]:
-    return (0 if point.side == "u" else 1, point.index)
+def _first_appearance(keys: Iterable) -> tuple[int, ...]:
+    """Heads of the positions whose blocks are named by ``keys``: each key
+    becomes the position where it first appears."""
+    first: dict = {}
+    return tuple(first.setdefault(key, pos) for pos, key in enumerate(keys))
 
 
-def _canonical_blocks(
-    blocks: Iterable[Iterable[Point]], upper: int, lower: int
-) -> tuple[tuple[Point, ...], ...] | None:
+def _heads(blocks: Iterable[Iterable[Point]], upper: int, lower: int) -> tuple[int, ...] | None:
     """The one validator for outside input.
 
     Raises :class:`ValidationError` unless ``blocks`` partition exactly the
-    points of ``NC(upper, lower)``. Returns the blocks in canonical order, or
-    ``None`` when two of them cross under the bent-line order.
+    points of ``NC(upper, lower)``. Returns the heads, or ``None`` when two
+    blocks cross under the bent-line order.
     """
     total = upper + lower
     owner = [-1] * total  # block number at each bent-line position
-    mat = []
     for b, raw in enumerate(blocks):
         block = tuple(Point(*pt) for pt in raw)
         if not block:
@@ -109,28 +118,22 @@ def _canonical_blocks(
             if owner[pos] >= 0:
                 raise ValidationError(f"point {pt.token} appears twice")
             owner[pos] = b
-        mat.append(block)
-    covered = len(owner) - owner.count(-1)
+    covered = total - owner.count(-1)
     if covered != total:
         raise ValidationError(f"blocks cover {covered} points, expected {total}")
-    # Stack test along the bent line: a block may only continue while it is
-    # the innermost open one. Blocks open in canonical order.
-    last = [0] * len(mat)
-    for pos, b in enumerate(owner):
-        last[b] = pos
-    opened = [False] * len(mat)
+    heads = _first_appearance(owner)
+    # Stack test along the bent line: a position may only join the innermost
+    # open block, and joining a block closes every block opened after it.
     stack: list[int] = []
-    order: list[int] = []
-    for pos, b in enumerate(owner):
-        if not opened[b]:
-            opened[b] = True
-            stack.append(b)
-            order.append(b)
-        elif stack[-1] != b:
-            return None
-        if pos == last[b]:
+    for pos, head in enumerate(heads):
+        if head == pos:
+            stack.append(head)
+            continue
+        while stack and stack[-1] != head:
             stack.pop()
-    return tuple(tuple(sorted(mat[b], key=_point_key)) for b in order)
+        if not stack:
+            return None
+    return heads
 
 
 def is_noncrossing(blocks: Iterable[Iterable[Point]], upper: int, lower: int) -> bool:
@@ -140,37 +143,66 @@ def is_noncrossing(blocks: Iterable[Iterable[Point]], upper: int, lower: int) ->
     Raises :class:`ValidationError` if the blocks do not form a partition of
     exactly the declared point set.
     """
-    return _canonical_blocks(blocks, upper, lower) is not None
+    return _heads(blocks, upper, lower) is not None
 
 
-@dataclass(frozen=True, slots=True)
+@functools.lru_cache(maxsize=64)
+def _points(upper: int, lower: int) -> tuple[tuple[int, Point], ...]:
+    """``(position, point)`` for the points of ``NC(upper, lower)``, upper
+    points by index, then lower points by index."""
+    total = upper + lower
+    return tuple((i, Point("u", i + 1)) for i in range(upper)) + tuple(
+        (total - j, Point("l", j)) for j in range(1, lower + 1)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _tokens(upper: int, lower: int) -> tuple[tuple[int, str], ...]:
+    return tuple((pos, pt.token) for pos, pt in _points(upper, lower))
+
+
+def _grouped(heads: tuple[int, ...], table: tuple) -> list[list]:
+    """The items of a :func:`_points`-style table gathered by block, blocks in
+    canonical order (a head first appears at its own position)."""
+    groups: dict[int, list] = {h: [] for h in heads}
+    for pos, item in table:
+        groups[heads[pos]].append(item)
+    return list(groups.values())
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Partition:
-    """An element of ``NC(upper, lower)`` in canonical form.
+    """An element of ``NC(upper, lower)``, stored as its read-only ``heads``
+    (see the module docstring).
 
-    Blocks are stored sorted by their minimal point in the bent-line order;
-    within a block, upper points come first (by index), then lower points (by
-    index). The public constructor (and :meth:`from_dict`) validates the
-    partition structure and the noncrossing property and canonicalizes the
-    blocks. The diagram operations of this module build their results through
-    an unchecked path instead, because those results are diagrams in
-    canonical form by construction.
+    Equality and hashing cover ``upper``, ``lower`` and ``heads``: heads
+    alone do not fix the shape (``{u1}{l1}`` in ``NC(1,1)`` and ``{u1}{u2}``
+    in ``NC(2,0)`` both have heads ``(0, 1)``). ``Partition(upper, lower,
+    blocks)`` and :meth:`from_dict` validate blocks of points, given in any
+    order; :attr:`blocks` lists them in canonical order.
     """
 
     upper: int
     lower: int
-    blocks: tuple[tuple[Point, ...], ...]
+    heads: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.upper < 0 or self.lower < 0:
+    def __init__(self, upper: int, lower: int, blocks: Iterable[Iterable[Point]]) -> None:
+        if upper < 0 or lower < 0:
             raise ValidationError("row sizes must be nonnegative")
-        canonical = _canonical_blocks(self.blocks, self.upper, self.lower)
-        if canonical is None:
+        heads = _heads(blocks, upper, lower)
+        if heads is None:
             raise ValidationError("blocks cross under the bent-line order")
-        object.__setattr__(self, "blocks", canonical)
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+        _set_heads(self, heads)
+
+    @property
+    def blocks(self) -> tuple[tuple[Point, ...], ...]:
+        return tuple(map(tuple, _grouped(self.heads, _points(self.upper, self.lower))))
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(set(self.heads))
 
     @property
     def points(self) -> int:
@@ -180,7 +212,7 @@ class Partition:
         return {
             "upper": self.upper,
             "lower": self.lower,
-            "blocks": [[pt.token for pt in block] for block in self.blocks],
+            "blocks": _grouped(self.heads, _tokens(self.upper, self.lower)),
         }
 
     @classmethod
@@ -188,11 +220,12 @@ class Partition:
         if not isinstance(data, dict):
             raise ValidationError("partition payload must be an object")
         try:
-            upper = int(data["upper"])
-            lower = int(data["lower"])
-            raw_blocks = data["blocks"]
-        except (KeyError, TypeError, ValueError) as exc:
+            upper, lower, raw_blocks = data["upper"], data["lower"], data["blocks"]
+        except KeyError as exc:
             raise ValidationError(f"partition payload missing fields: {exc}") from None
+        for name, size in (("upper", upper), ("lower", lower)):
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValidationError(f"'{name}' must be an integer, got {size!r}")
         if not isinstance(raw_blocks, list):
             raise ValidationError("blocks must be a list of lists of point tokens")
         blocks = []
@@ -200,20 +233,25 @@ class Partition:
             if not isinstance(raw, list):
                 raise ValidationError("blocks must be a list of lists of point tokens")
             blocks.append(tuple(parse_point(tok) for tok in raw))
-        return cls(upper, lower, tuple(blocks))
+        return cls(upper, lower, blocks)
 
     def __str__(self) -> str:
-        if not self.blocks:
-            return "(empty)"
-        return " | ".join(" ".join(pt.token for pt in block) for block in self.blocks)
+        blocks = _grouped(self.heads, _tokens(self.upper, self.lower))
+        return " | ".join(map(" ".join, blocks)) or "(empty)"
 
 
-def _trusted(upper: int, lower: int, blocks: tuple[tuple[Point, ...], ...]) -> Partition:
-    """Wrap blocks that already form a canonical diagram, with no checks."""
+# The slots' own setters, which the frozen ``__setattr__`` does not guard.
+_set_upper, _set_lower, _set_heads = (
+    Partition.upper.__set__, Partition.lower.__set__, Partition.heads.__set__
+)
+
+
+def _trusted(upper: int, lower: int, heads: tuple[int, ...]) -> Partition:
+    """Wrap the heads of a noncrossing diagram, with no checks."""
     p = object.__new__(Partition)
-    object.__setattr__(p, "upper", upper)
-    object.__setattr__(p, "lower", lower)
-    object.__setattr__(p, "blocks", blocks)
+    _set_upper(p, upper)
+    _set_lower(p, lower)
+    _set_heads(p, heads)
     return p
 
 
@@ -247,21 +285,17 @@ def check_point_bound(upper: int, lower: int, max_points: int) -> None:
     raise BoundError(f"{m} points ({count} diagrams) exceeds the configured bound of {max_points}")
 
 
-def _noncrossing_blocks(upper: int, lower: int) -> Iterator[tuple[tuple[Point, ...], ...]]:
-    """Every noncrossing partition of the bent line of ``NC(upper, lower)``,
-    as canonical blocks.
+def _noncrossing_heads(total: int) -> Iterator[tuple[int, ...]]:
+    """The heads of every noncrossing partition of the positions
+    ``0 .. total-1``.
 
-    On positions ``0 .. m-1`` the partitions come in lexicographic order of
-    their blocks written as increasing position tuples. The block holding the
-    first position ``lo`` of an interval is grown one position at a time
-    (which visits the candidate blocks in lexicographic order); the gaps it
-    closes and the rest of the interval after it are independent intervals,
-    whose partitions are listed once per call and combined in product order.
-    The points are built once and shared by every diagram.
+    The partitions come in lexicographic order of their blocks written as
+    increasing position tuples. The block holding the first position ``lo``
+    of an interval is grown one position at a time (which visits the
+    candidate blocks in lexicographic order); the gaps it closes and the rest
+    of the interval after it are independent intervals, whose heads are
+    listed once per call and concatenated in product order.
     """
-    at = [Point("u", i + 1) for i in range(upper)] + [
-        Point("l", lower - j) for j in range(lower)
-    ]
     memo: dict[tuple[int, int], list] = {}
 
     def listed(lo: int, hi: int) -> list:
@@ -270,30 +304,24 @@ def _noncrossing_blocks(upper: int, lower: int) -> Iterator[tuple[tuple[Point, .
             found = memo[lo, hi] = list(partitions(lo, hi))
         return found
 
-    def grow(block: tuple[int, ...], inner: list, hi: int) -> Iterator:
-        # Canonical point order: upper points ascending, then lower points
-        # ascending, i.e. lower positions descending.
-        pts = (
-            tuple(at[p] for p in block if p < upper)
-            + tuple(at[p] for p in reversed(block) if p >= upper),
-        )
-        last = block[-1]
+    def grow(lo: int, last: int, inner: list, hi: int) -> Iterator:
+        # ``inner`` holds the heads of positions lo .. last, one entry per
+        # way of filling the gaps of the block so far.
         rest = listed(last + 1, hi)
-        for head in inner:
-            front = pts + head
+        for front in inner:
             for tail in rest:
                 yield front + tail
         for nxt in range(last + 1, hi):
             gap = listed(last + 1, nxt)
-            yield from grow(block + (nxt,), [h + g for h in inner for g in gap], hi)
+            yield from grow(lo, nxt, [h + g + (lo,) for h in inner for g in gap], hi)
 
     def partitions(lo: int, hi: int) -> Iterator:
         if lo == hi:
             yield ()
         else:
-            yield from grow((lo,), [()], hi)
+            yield from grow(lo, lo, [(lo,)], hi)
 
-    return partitions(0, upper + lower)
+    return partitions(0, total)
 
 
 def enumerate_partitions(
@@ -307,50 +335,33 @@ def enumerate_partitions(
     if upper < 0 or lower < 0:
         raise ValidationError("row sizes must be nonnegative")
     check_point_bound(upper, lower, max_points)
-    return [_trusted(upper, lower, blocks) for blocks in _noncrossing_blocks(upper, lower)]
+    return [_trusted(upper, lower, heads) for heads in _noncrossing_heads(upper + lower)]
 
 
 def identity_partition(k: int) -> Partition:
     """The identity diagram of ``NC(k, k)``: each ``u_i`` paired with ``l_i``."""
     if k < 0:
         raise ValidationError("row sizes must be nonnegative")
-    return _trusted(k, k, tuple((Point("u", i), Point("l", i)) for i in range(1, k + 1)))
+    return _trusted(k, k, tuple(range(k)) + tuple(reversed(range(k))))
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
     """Horizontal concatenation: ``q``'s points are shifted past ``p``'s."""
-    shifted = tuple(
-        tuple(
-            Point(side, index + (p.upper if side == "u" else p.lower))
-            for side, index in block
-        )
-        for block in q.blocks
+    # On the joint bent line q's whole line sits between p's two rows, so p's
+    # lower-only blocks move past q.
+    k, n = p.upper, q.upper + q.lower
+    heads = (
+        p.heads[:k]
+        + tuple(h + k for h in q.heads)
+        + tuple(h + n if h >= k else h for h in p.heads[k:])
     )
-    # On the joint bent line q's points sit between p's upper and lower rows:
-    # p's blocks that reach the upper row come first, then q's, then p's
-    # lower-only blocks, each group keeping its own order.
-    split = 0
-    for block in p.blocks:
-        if block[0].side != "u":
-            break
-        split += 1
-    blocks = p.blocks[:split] + shifted + p.blocks[split:]
-    return _trusted(p.upper + q.upper, p.lower + q.lower, blocks)
+    return _trusted(p.upper + q.upper, p.lower + q.lower, heads)
 
 
 def adjoint(p: Partition) -> Partition:
     """Reflection across the horizontal axis: rows swap, indices keep."""
-    upper, total = p.lower, p.upper + p.lower
-    flipped = []
-    for block in p.blocks:
-        flipped.append(
-            tuple(Point("u", index) for side, index in block if side == "l")
-            + tuple(Point("l", index) for side, index in block if side == "u")
-        )
-    # Minimal bent-line position: the first upper point, else the largest
-    # lower index (the lower row runs backwards).
-    flipped.sort(key=lambda b: b[0].index - 1 if b[0].side == "u" else total - b[-1].index)
-    return _trusted(upper, p.upper, tuple(flipped))
+    # The reflected bent line is the original one read backwards.
+    return _trusted(p.lower, p.upper, _first_appearance(p.heads[::-1]))
 
 
 def compose(p: Partition, q: Partition) -> CompositionResult:
@@ -364,58 +375,24 @@ def compose(p: Partition, q: Partition) -> CompositionResult:
         raise ShapeError(
             f"cannot compose: p has {p.lower} lower points, q has {q.upper} upper points"
         )
-    k, w = p.upper, q.lower
-    # Union-find over blocks: p's blocks are nodes 0..bp-1, q's follow; the
-    # middle point t joins p's block holding l_t to q's block holding u_t.
-    bp = len(p.blocks)
-    parent = list(range(bp + len(q.blocks)))
+    k, l, w = p.upper, p.lower, q.lower
+    # Union-find over the positions of both bent lines, q's after p's. A head
+    # is the root of its block, so the heads are the initial forest.
+    mid = k + l
+    parent = [*p.heads, *(h + mid for h in q.heads)]
 
     def find(a: int) -> int:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         return a
 
-    # A block lists its upper points, then its lower points, so each block
-    # splits into an upper and a lower part by slicing.
-    above = [0] * p.lower  # p's block at each middle point
-    tops = []  # (node, upper part) of p's blocks that reach the upper row
-    for b, block in enumerate(p.blocks):
-        n = 0
-        for side, index in block:
-            if side == "u":
-                n += 1
-            else:
-                above[index - 1] = b
-        if n:
-            tops.append((b, block[:n]))
-    bottoms = []  # (node, lower part) of q's blocks that reach the lower row
-    for b, block in enumerate(q.blocks, bp):
-        n = 0
-        for side, index in block:
-            if side != "u":
-                break
-            n += 1
-            parent[find(above[index - 1])] = find(b)
-        if n < len(block):
-            bottoms.append((b, block[n:]))
-
-    # Only blocks reaching the middle row merge. Among p's, the upper parts
-    # ascend in block order (a later one nested inside an earlier one could
-    # not reach the middle row without crossing it); among q's, so do the
-    # lower parts. Each component thus gathers its points in canonical order.
-    # Components reaching the upper row are met in canonical order;
-    # lower-only ones go by their largest lower index, descending.
-    roots = [find(b) for b in range(len(parent))]
-    components: dict[int, tuple[Point, ...]] = {}
-    for b, part in tops:
-        components[roots[b]] = components.get(roots[b], ()) + part
-    with_upper = len(components)
-    for b, part in bottoms:
-        components[roots[b]] = components.get(roots[b], ()) + part
-    central = len(set(roots)) - len(components)
-
-    blocks = tuple(components.values())
-    lower_only = sorted(blocks[with_upper:], key=lambda b: -b[-1].index)
-    result = _trusted(k, w, blocks[:with_upper] + tuple(lower_only))
-    cycles = p.lower + len(blocks) + central - bp - len(q.blocks)
+    # Middle point t is p's position mid - t and q's position t - 1.
+    for t in range(1, l + 1):
+        parent[find(mid - t)] = find(mid + t - 1)
+    roots = sum(1 for a, b in enumerate(parent) if a == b)
+    outer = itertools.chain(range(k), range(mid + l, mid + l + w))
+    result = _trusted(k, w, _first_appearance(map(find, outer)))
+    blocks = result.block_count
+    central = roots - blocks
+    cycles = l + blocks + central - p.block_count - q.block_count
     return CompositionResult(result, central, cycles)

@@ -222,14 +222,20 @@ def build_map(
             f"map matrix would hold {n}^{k + l} entries, over the bound {max_entries}"
         )
     out = np.zeros(n ** (l + k))
-    # Flat index strides: lower leg j is digit j - 1 from the left, upper leg
-    # i digit l + i - 1.
+    # Flat index strides: lower leg j (bent-line position k + l - j) is digit
+    # j - 1 from the left, upper leg i (position i - 1) digit l + i - 1. Each
+    # block, in canonical order, lists its lower legs, then its upper legs.
+    heads = p.heads
+    strides: dict[int, tuple[list, list]] = {h: ([], []) for h in heads}
+    for pos in range(k + l - 1, -1, -1):
+        if pos >= k:
+            strides[heads[pos]][0].append(n**pos)
+        else:
+            strides[heads[pos]][1].insert(0, n ** (k - 1 - pos))
     parts = []
-    for block in p.blocks:
-        ups = [n ** (k - i) for side, i in block if side == "u"]
-        strides = [n ** (l + k - j) for side, j in block if side == "l"] + ups
-        legs, coefs = _block_entries(algebra, len(ups), len(strides) - len(ups))
-        parts.append((np.array(strides).dot(legs), coefs))
+    for downs, ups in strides.values():
+        legs, coefs = _block_entries(algebra, len(ups), len(downs))
+        parts.append((np.array(downs + ups).dot(legs), coefs))
     # Each next block goes outermost: the inner loops run over the long
     # accumulated arrays, and coefficients multiply in block order, as in the
     # entry-wise definition. The map of the empty diagram is the matrix (1).

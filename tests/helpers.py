@@ -143,6 +143,117 @@ def brute_force_nc(upper: int, lower: int) -> set[Partition]:
     return out
 
 
+def tensor_by_points(p: Partition, q: Partition) -> tuple:
+    """The canonical blocks of ``tensor(p, q)``, computed on points."""
+    shifted = tuple(
+        tuple(
+            Point(side, index + (p.upper if side == "u" else p.lower))
+            for side, index in block
+        )
+        for block in q.blocks
+    )
+    # On the joint bent line q's points sit between p's upper and lower rows:
+    # p's blocks that reach the upper row come first, then q's, then p's
+    # lower-only blocks, each group keeping its own order.
+    split = 0
+    for block in p.blocks:
+        if block[0].side != "u":
+            break
+        split += 1
+    return p.blocks[:split] + shifted + p.blocks[split:]
+
+
+def adjoint_by_points(p: Partition) -> tuple:
+    """The canonical blocks of ``adjoint(p)``, computed on points."""
+    total = p.upper + p.lower
+    flipped = []
+    for block in p.blocks:
+        flipped.append(
+            tuple(Point("u", index) for side, index in block if side == "l")
+            + tuple(Point("l", index) for side, index in block if side == "u")
+        )
+    # Minimal bent-line position: the first upper point, else the largest
+    # lower index (the lower row runs backwards).
+    flipped.sort(key=lambda b: b[0].index - 1 if b[0].side == "u" else total - b[-1].index)
+    return tuple(flipped)
+
+
+def compose_by_points(p: Partition, q: Partition) -> tuple:
+    """``(blocks, central_blocks, cycles)`` of ``compose(p, q)``, computed on
+    points with a union-find over the blocks; the blocks are canonical."""
+    assert p.lower == q.upper
+    p_blocks, q_blocks = p.blocks, q.blocks
+    # Union-find over blocks: p's blocks are nodes 0..bp-1, q's follow; the
+    # middle point t joins p's block holding l_t to q's block holding u_t.
+    bp = len(p_blocks)
+    parent = list(range(bp + len(q_blocks)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    # A block lists its upper points, then its lower points, so each block
+    # splits into an upper and a lower part by slicing.
+    above = [0] * p.lower  # p's block at each middle point
+    tops = []  # (node, upper part) of p's blocks that reach the upper row
+    for b, block in enumerate(p_blocks):
+        n = 0
+        for side, index in block:
+            if side == "u":
+                n += 1
+            else:
+                above[index - 1] = b
+        if n:
+            tops.append((b, block[:n]))
+    bottoms = []  # (node, lower part) of q's blocks that reach the lower row
+    for b, block in enumerate(q_blocks, bp):
+        n = 0
+        for side, index in block:
+            if side != "u":
+                break
+            n += 1
+            parent[find(above[index - 1])] = find(b)
+        if n < len(block):
+            bottoms.append((b, block[n:]))
+
+    # Only blocks reaching the middle row merge. Among p's, the upper parts
+    # ascend in block order (a later one nested inside an earlier one could
+    # not reach the middle row without crossing it); among q's, so do the
+    # lower parts. Each component thus gathers its points in canonical order.
+    # Components reaching the upper row are met in canonical order;
+    # lower-only ones go by their largest lower index, descending.
+    roots = [find(b) for b in range(len(parent))]
+    components: dict[int, tuple[Point, ...]] = {}
+    for b, part in tops:
+        components[roots[b]] = components.get(roots[b], ()) + part
+    with_upper = len(components)
+    for b, part in bottoms:
+        components[roots[b]] = components.get(roots[b], ()) + part
+    central = len(set(roots)) - len(components)
+
+    blocks = tuple(components.values())
+    lower_only = sorted(blocks[with_upper:], key=lambda b: -b[-1].index)
+    cycles = p.lower + len(blocks) + central - bp - len(q_blocks)
+    return blocks[:with_upper] + tuple(lower_only), central, cycles
+
+
+def is_admissible_by_definition(group, p: Partition, upper, lower) -> bool:
+    """Whether each block's upper-label product equals its lower-label
+    product, both taken in block order, from the blocks of points."""
+    mul, identity = group.mul, group.identity()
+    for block in p.blocks:
+        up = down = identity
+        for side, index in block:
+            if side == "u":
+                up = mul(up, upper[index - 1])
+            else:
+                down = mul(down, lower[index - 1])
+        if up != down:
+            return False
+    return True
+
+
 class DenseModel:
     """Concrete matrix model of a multimatrix algebra with its state.
 

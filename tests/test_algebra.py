@@ -307,6 +307,11 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             MultiMatrixAlgebra.from_dict(payload)
 
+    @pytest.mark.parametrize("size", [2.7, 2.0, True, "2", None])
+    def test_size_must_be_a_json_integer(self, size):
+        with pytest.raises(ValidationError, match="block size must be an integer"):
+            MultiMatrixAlgebra.from_dict({"blocks": [{"size": size, "q": [0.5, 0.5]}]})
+
     def test_weight_validation_still_applies(self):
         with pytest.raises(ValidationError):
             MultiMatrixAlgebra.from_dict({"blocks": [{"size": 1, "q": [2.0]}]})

@@ -208,6 +208,20 @@ class TestPartitionsCommands:
         assert code == 2
         assert err.startswith("parse error:")
 
+    @pytest.mark.parametrize("size", [1.9, True, "1"])
+    def test_partition_sizes_must_be_json_integers(self, capsys, write_json, size):
+        path = write_json("p.json", {"upper": size, "lower": 1, "blocks": [["u1", "l1"]]})
+        code, out, err = run_cli(capsys, "partitions", "adjoint", "--partition", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+        assert "'upper' must be an integer" in err
+
+    def test_algebra_block_size_must_be_a_json_integer(self, capsys, write_json):
+        path = write_json("a.json", {"blocks": [{"size": 2.7, "q": [0.5, 0.5]}]})
+        code, out, err = run_cli(capsys, "algebra", "check", "--algebra", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: block size must be an integer")
+
     def test_inputs_not_mutated(self, capsys, write_json):
         p = write_json("m.json", M_PAYLOAD)
         q = write_json("mstar.json", M_STAR_PAYLOAD)

@@ -19,7 +19,12 @@ from ncwreath.groups import CyclicGroup, IntegerGroup, TableGroup
 from ncwreath.partitions import adjoint, catalan, compose, enumerate_partitions, tensor
 from ncwreath.tensor_maps import build_map, gram_rank
 
-from helpers import dihedral_group_dict, make_partition as P, symmetric_group_dict
+from helpers import (
+    dihedral_group_dict,
+    is_admissible_by_definition,
+    make_partition as P,
+    symmetric_group_dict,
+)
 
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
@@ -132,7 +137,7 @@ class TestEnumerateDecorated:
             want = [
                 DecoratedPartition(group, p, upper, lower)
                 for p in enumerate_partitions(len(upper), len(lower))
-                if is_admissible(group, p, upper, lower)
+                if is_admissible_by_definition(group, p, upper, lower)
             ]
             assert enumerate_decorated(group, upper, lower) == want
             assert decorated_hom_dimension(group, upper, lower) == len(want)

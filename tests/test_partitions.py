@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from helpers import brute_force_nc, linear_enumeration_oracle, make_partition
+from helpers import (
+    adjoint_by_points,
+    brute_force_nc,
+    compose_by_points,
+    linear_enumeration_oracle,
+    make_partition,
+    tensor_by_points,
+)
 from ncwreath.errors import BoundError, ShapeError, ValidationError
 from ncwreath.partitions import (
     Partition,
@@ -135,6 +142,31 @@ class TestPartitionType:
             Partition.from_dict({"upper": 1, "lower": 1, "blocks": [["u1"], ["zz"]]})
         with pytest.raises(ValidationError):
             Partition.from_dict({"upper": 1, "lower": 1, "blocks": [["u1"], ["l2"]]})
+
+
+    @pytest.mark.parametrize("field", ["upper", "lower"])
+    @pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
+    def test_from_dict_sizes_must_be_json_integers(self, field, size):
+        payload = {"upper": 1, "lower": 1, "blocks": [["u1", "l1"]], field: size}
+        with pytest.raises(ValidationError, match=f"'{field}' must be an integer"):
+            Partition.from_dict(payload)
+
+    def test_hash_survives_round_trip(self):
+        for p in enumerate_partitions(3, 3):
+            assert hash(Partition.from_dict(p.to_dict())) == hash(p)
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_equality_includes_the_shape(self, m):
+        # {u1}{l1} in NC(1,1) and {u1}{u2} in NC(2,0) share the heads (0, 1).
+        assert P(1, 1, "u1", "l1").heads == P(2, 0, "u1", "u2").heads
+        assert P(1, 1, "u1", "l1") != P(2, 0, "u1", "u2")
+        diagrams = {p for k in range(m + 1) for p in enumerate_partitions(k, m - k)}
+        assert len(diagrams) == (m + 1) * catalan(m)
+
+    def test_heads_name_each_block_by_its_first_position(self):
+        assert identity_partition(2).heads == (0, 1, 1, 0)
+        assert P(1, 2, "u1", "l1 l2").heads == (0, 1, 1)
+        assert P(0, 4, "l1 l4", "l2 l3").heads == (0, 1, 1, 0)
 
 
 class TestTensor:
@@ -372,8 +404,13 @@ class TestTrustedPath:
             for c in range(7 - a - b):
                 for p in ps:
                     for q in pool[b, c]:
-                        r = compose(p, q).result
+                        got = compose(p, q)
+                        r = got.result
                         assert r == _validated(r)
+                        blocks, central, cycles = compose_by_points(p, q)
+                        assert r.blocks == blocks
+                        assert got.central_blocks == central
+                        assert got.cycles == cycles
                         checked += 1
         assert checked == 43371
 
@@ -387,12 +424,14 @@ class TestTrustedPath:
                     for q in qs:
                         r = tensor(p, q)
                         assert r == _validated(r)
+                        assert r.blocks == tensor_by_points(p, q)
 
     def test_adjoint_and_identity_results_are_canonical(self):
         for diagrams in _pool(6).values():
             for p in diagrams:
                 r = adjoint(p)
                 assert r == _validated(r)
+                assert r.blocks == adjoint_by_points(p)
         for k in range(6):
             r = identity_partition(k)
             assert r == _validated(r)
