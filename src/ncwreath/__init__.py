@@ -50,10 +50,8 @@ from .partitions import (
 from .tensor_maps import (
     TensorMap,
     build_map,
-    delta_coefficient,
     gram_rank,
     hom_dimension,
-    multi_index,
     verify_composition,
 )
 
@@ -89,8 +87,6 @@ __all__ = [
     # tensor maps
     "TensorMap",
     "build_map",
-    "delta_coefficient",
-    "multi_index",
     "verify_composition",
     "gram_rank",
     "hom_dimension",

@@ -12,9 +12,9 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "BasisIndex",
@@ -87,59 +87,8 @@ class MultiMatrixAlgebra:
                     out.append(BasisIndex(a, i, j))
         return out
 
-    def check_index(self, x: BasisIndex) -> BasisIndex:
-        b, i, j = x
-        if not 1 <= b <= self.block_count:
-            raise DomainError(f"block {b} out of range")
-        size = self.block_sizes[b - 1]
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise DomainError(f"entry ({i},{j}) out of range for block of size {size}")
-        return BasisIndex(b, i, j)
-
-    def basis_position(self, x: BasisIndex) -> int:
-        """Position of ``x`` within :meth:`basis_indices` order."""
-        b, i, j = self.check_index(x)
-        offset = sum(s * s for s in self.block_sizes[: b - 1])
-        size = self.block_sizes[b - 1]
-        return offset + (i - 1) * size + (j - 1)
-
     def weight(self, block: int, row: int) -> float:
         return self.weights[block - 1][row - 1]
-
-    # -- state and products --------------------------------------------------
-
-    def state_value(self, x: BasisIndex) -> float:
-        """The state on the matrix unit ``x``: weight of the row if diagonal, else 0."""
-        b, i, j = self.check_index(x)
-        return self.weight(b, i) if i == j else 0.0
-
-    def normalization(self, x: BasisIndex) -> float:
-        """Scale turning the matrix unit ``x`` into a unit vector: state(e_cc)^-1/2."""
-        b, _, j = self.check_index(x)
-        return self.weight(b, j) ** -0.5
-
-    def mul_basis(
-        self, x: BasisIndex, y: BasisIndex
-    ) -> Optional[tuple[float, BasisIndex]]:
-        """Product of two normalized basis vectors, as ``(coefficient, index)``;
-        ``None`` when the product vanishes (different blocks or mismatched
-        inner entries)."""
-        bx, ix, jx = self.check_index(x)
-        by, iy, jy = self.check_index(y)
-        if bx != by or jx != iy:
-            return None
-        return (self.weight(bx, jx) ** -0.5, BasisIndex(bx, ix, jy))
-
-    def inner_product(
-        self, x: BasisIndex, y: BasisIndex, *, normalized: bool = True
-    ) -> float:
-        """State-induced inner product of two basis vectors; the normalized
-        basis is orthonormal, matrix units have squared length state(e_cc)."""
-        self.check_index(x)
-        self.check_index(y)
-        if x != y:
-            return 0.0
-        return 1.0 if normalized else self.weight(x.block, x.col)
 
     # -- delta-form structure ------------------------------------------------
 
@@ -219,11 +168,22 @@ class MultiMatrixAlgebra:
             if not isinstance(size, int) or isinstance(size, bool):
                 raise ValidationError(f"block size must be an integer, got {size!r}")
             sizes.append(size)
-            try:
-                weights.append(tuple(float(x) for x in entry["q"]))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad block entry: {exc}") from None
+            weights.append(_weight_row(entry["q"]))
         return cls(tuple(sizes), tuple(weights))
+
+
+def _weight_row(q: Any) -> tuple[float, ...]:
+    """A block's weights from JSON: a list of numbers, booleans and strings
+    rejected."""
+    if not isinstance(q, list):
+        raise ValidationError(f"block weights must be a list of numbers, got {q!r}")
+    for x in q:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise ValidationError(f"block weight must be a number, got {x!r}")
+    try:
+        return tuple(float(x) for x in q)
+    except OverflowError:
+        raise ValidationError(f"block weight out of range in {q!r}") from None
 
 
 class DeltaFactor(NamedTuple):

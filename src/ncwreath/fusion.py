@@ -29,8 +29,6 @@ from .groups import Group
 __all__ = [
     "Word",
     "involution",
-    "concat",
-    "fuse_words",
     "fusion_product",
     "dimension",
     "multiplicity_of_trivial",
@@ -78,21 +76,6 @@ def _same_group(x: Word, y: Word) -> Group:
 def involution(x: Word) -> Word:
     """The word of inverted letters in reversed order (the conjugate label)."""
     return Word(x.group, tuple(x.group.inv(g) for g in reversed(x.letters)))
-
-
-def concat(x: Word, y: Word) -> Word:
-    _same_group(x, y)
-    return Word(x.group, x.letters + y.letters)
-
-
-def fuse_words(x: Word, y: Word) -> Word:
-    """Merge the last letter of ``x`` into the first of ``y`` by group
-    multiplication; both words must be nonempty."""
-    group = _same_group(x, y)
-    if not x.letters or not y.letters:
-        raise DomainError("fusion needs two nonempty words")
-    merged = group.mul(x.letters[-1], y.letters[0])
-    return Word(group, x.letters[:-1] + (merged,) + y.letters[1:])
 
 
 def fusion_product(x: Word, y: Word) -> Counter:

@@ -52,18 +52,8 @@ class Group(ABC):
     def elements(self) -> Sequence[Any]:
         raise DomainError(f"{self.describe()} is infinite; cannot list elements")
 
-    @property
-    def is_finite(self) -> bool:
-        return False
-
     @abstractmethod
     def describe(self) -> str: ...
-
-    def product(self, items: Sequence[Any]) -> Any:
-        out = self.identity()
-        for a in items:
-            out = self.mul(out, a)
-        return out
 
 
 @dataclass(frozen=True)
@@ -119,10 +109,6 @@ class CyclicGroup(Group):
 
     def elements(self) -> Sequence[int]:
         return range(self.order)
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return f"cyclic:{self.order}"
@@ -267,10 +253,6 @@ class TableGroup(Group):
 
     def elements(self) -> Sequence[int]:
         return range(len(self.element_names))
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return f"table group on {{{', '.join(self.element_names)}}}"

@@ -204,10 +204,6 @@ class Partition:
     def block_count(self) -> int:
         return len(set(self.heads))
 
-    @property
-    def points(self) -> int:
-        return self.upper + self.lower
-
     def to_dict(self) -> dict:
         return {
             "upper": self.upper,

@@ -31,13 +31,12 @@ The headline identities, checked numerically by the test suite:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import BasisIndex, MultiMatrixAlgebra
+from .algebra import MultiMatrixAlgebra
 from .errors import BoundError, DomainError, ShapeError
 from .partitions import DEFAULT_MAX_POINTS, Partition, catalan, check_point_bound, compose
 
@@ -45,12 +44,10 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "GRAM_RANK_THRESHOLD",
     "TensorMap",
-    "delta_coefficient",
     "build_map",
     "verify_composition",
     "gram_rank",
     "hom_dimension",
-    "multi_index",
 ]
 
 #: Ceiling on the entry count of a single map matrix.
@@ -58,84 +55,6 @@ DEFAULT_MAX_ENTRIES = 1 << 24
 
 #: Relative singular-value cutoff used by :func:`gram_rank`.
 GRAM_RANK_THRESHOLD = 1e-7
-
-_ONE = "one"
-_ZERO = "zero"
-
-
-def _mul_chain(algebra: MultiMatrixAlgebra, indices: Sequence[BasisIndex]):
-    """Product of normalized basis vectors as ``(coef, block, row, col)``,
-    or the markers for the empty product / the zero element."""
-    acc = _ONE
-    for ix in indices:
-        coef = algebra.normalization(ix)
-        if acc == _ONE:
-            acc = (coef, ix.block, ix.row, ix.col)
-            continue
-        c, b, i, j = acc
-        if b != ix.block or j != ix.row:
-            return _ZERO
-        acc = (c * coef, b, i, ix.col)
-    return acc
-
-
-def _psi(algebra: MultiMatrixAlgebra, elem) -> float:
-    if elem == _ONE:
-        return 1.0
-    if elem == _ZERO:
-        return 0.0
-    c, b, i, j = elem
-    return c * algebra.weight(b, i) if i == j else 0.0
-
-
-def _star(elem):
-    if elem in (_ONE, _ZERO):
-        return elem
-    c, b, i, j = elem
-    return (c, b, j, i)
-
-
-def _product(elem_a, elem_b):
-    if _ZERO in (elem_a, elem_b):
-        return _ZERO
-    if elem_a == _ONE:
-        return elem_b
-    if elem_b == _ONE:
-        return elem_a
-    ca, ba, ia, ja = elem_a
-    cb, bb, ib, jb = elem_b
-    if ba != bb or ja != ib:
-        return _ZERO
-    return (ca * cb, ba, ia, jb)
-
-
-def delta_coefficient(
-    algebra: MultiMatrixAlgebra,
-    p: Partition,
-    upper: Sequence[BasisIndex],
-    lower: Sequence[BasisIndex],
-) -> float:
-    """Matrix entry of the map of ``p`` at one upper / lower assignment of
-    normalized basis vectors: the product over blocks of the state applied to
-    (lower product)* (upper product)."""
-    if len(upper) != p.upper:
-        raise ShapeError(f"expected {p.upper} upper indices, got {len(upper)}")
-    if len(lower) != p.lower:
-        raise ShapeError(f"expected {p.lower} lower indices, got {len(lower)}")
-    for ix in itertools.chain(upper, lower):
-        algebra.check_index(ix)
-    value = 1.0
-    for block in p.blocks:
-        ups = [upper[pt.index - 1] for pt in block if pt.side == "u"]
-        downs = [lower[pt.index - 1] for pt in block if pt.side == "l"]
-        factor = _psi(
-            algebra,
-            _product(_star(_mul_chain(algebra, downs)), _mul_chain(algebra, ups)),
-        )
-        value *= factor
-        if value == 0.0:
-            return 0.0
-    return value
 
 
 @functools.lru_cache(maxsize=256)
@@ -190,14 +109,6 @@ class TensorMap:
     partition: Partition
     matrix: np.ndarray
 
-    @property
-    def upper(self) -> int:
-        return self.partition.upper
-
-    @property
-    def lower(self) -> int:
-        return self.partition.lower
-
 
 def build_map(
     algebra: MultiMatrixAlgebra,
@@ -247,22 +158,6 @@ def build_map(
     return TensorMap(algebra, p, out.reshape(n**l, n**k))
 
 
-def multi_index(
-    algebra: MultiMatrixAlgebra, power: int, position: int
-) -> tuple[BasisIndex, ...]:
-    """The tuple of basis indices a row/column position denotes, first tensor
-    factor most significant."""
-    n = algebra.dim
-    if not 0 <= position < n**power:
-        raise DomainError(f"position {position} out of range for power {power}")
-    basis = algebra.basis_indices()
-    digits = []
-    for _ in range(power):
-        position, rem = divmod(position, n)
-        digits.append(basis[rem])
-    return tuple(reversed(digits))
-
-
 def verify_composition(
     algebra: MultiMatrixAlgebra,
     p: Partition,
@@ -293,12 +188,10 @@ def verify_composition(
     return float(np.max(np.abs(t_qp.matrix - product)))
 
 
-def gram_rank(
-    maps: Sequence[TensorMap], *, threshold: float = GRAM_RANK_THRESHOLD
-) -> int:
+def gram_rank(maps: Sequence[TensorMap]) -> int:
     """Rank of the span of the given maps, via the Gram matrix of pairwise
-    trace inner products; singular values below ``threshold`` times the
-    largest are treated as zero."""
+    trace inner products; singular values below :data:`GRAM_RANK_THRESHOLD`
+    times the largest are treated as zero."""
     if not maps:
         return 0
     first = maps[0]
@@ -310,7 +203,7 @@ def gram_rank(
     singular = np.linalg.svd(gram, compute_uv=False)
     if singular[0] <= 0.0:
         return 0
-    return int(np.sum(singular > threshold * singular[0]))
+    return int(np.sum(singular > GRAM_RANK_THRESHOLD * singular[0]))
 
 
 def hom_dimension(

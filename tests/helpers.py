@@ -9,12 +9,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
-from ncwreath.fusion import AlternatingWord, Word, concat, fuse_words, involution
+from ncwreath.errors import DomainError
+from ncwreath.fusion import AlternatingWord, Word, involution
 from ncwreath.partitions import Partition, Point, parse_point
-from ncwreath.tensor_maps import delta_coefficient
 
 
 def make_partition(upper: int, lower: int, *blocks: str) -> Partition:
@@ -254,6 +256,103 @@ def is_admissible_by_definition(group, p: Partition, upper, lower) -> bool:
     return True
 
 
+def basis_position(algebra: MultiMatrixAlgebra, x: BasisIndex) -> int:
+    """Position of ``x`` within ``algebra.basis_indices()`` order."""
+    b, i, j = x
+    offset = sum(s * s for s in algebra.block_sizes[: b - 1])
+    size = algebra.block_sizes[b - 1]
+    return offset + (i - 1) * size + (j - 1)
+
+
+def mul_basis(
+    algebra: MultiMatrixAlgebra, x: BasisIndex, y: BasisIndex
+) -> Optional[tuple[float, BasisIndex]]:
+    """Product of two normalized basis vectors, as ``(coefficient, index)``;
+    ``None`` when the product vanishes (different blocks or mismatched
+    inner entries)."""
+    bx, ix, jx = x
+    by, iy, jy = y
+    if bx != by or jx != iy:
+        return None
+    return (algebra.weight(bx, jx) ** -0.5, BasisIndex(bx, ix, jy))
+
+
+# Markers for the empty product (the algebra unit) and the zero element in
+# the symbolic arithmetic of normalized matrix units below; any other element
+# is a scaled matrix unit ``(coef, block, row, col)``.
+_ONE = "one"
+_ZERO = "zero"
+
+
+def _mul_chain(algebra: MultiMatrixAlgebra, indices: Sequence[BasisIndex]):
+    """Product of normalized basis vectors as ``(coef, block, row, col)``,
+    or the markers for the empty product / the zero element."""
+    acc = _ONE
+    for ix in indices:
+        coef = algebra.weight(ix.block, ix.col) ** -0.5
+        if acc == _ONE:
+            acc = (coef, ix.block, ix.row, ix.col)
+            continue
+        c, b, i, j = acc
+        if b != ix.block or j != ix.row:
+            return _ZERO
+        acc = (c * coef, b, i, ix.col)
+    return acc
+
+
+def _psi(algebra: MultiMatrixAlgebra, elem) -> float:
+    if elem == _ONE:
+        return 1.0
+    if elem == _ZERO:
+        return 0.0
+    c, b, i, j = elem
+    return c * algebra.weight(b, i) if i == j else 0.0
+
+
+def _star(elem):
+    if elem in (_ONE, _ZERO):
+        return elem
+    c, b, i, j = elem
+    return (c, b, j, i)
+
+
+def _product(elem_a, elem_b):
+    if _ZERO in (elem_a, elem_b):
+        return _ZERO
+    if elem_a == _ONE:
+        return elem_b
+    if elem_b == _ONE:
+        return elem_a
+    ca, ba, ia, ja = elem_a
+    cb, bb, ib, jb = elem_b
+    if ba != bb or ja != ib:
+        return _ZERO
+    return (ca * cb, ba, ia, jb)
+
+
+def delta_coefficient(
+    algebra: MultiMatrixAlgebra,
+    p: Partition,
+    upper: Sequence[BasisIndex],
+    lower: Sequence[BasisIndex],
+) -> float:
+    """Matrix entry of the map of ``p`` at one upper / lower assignment of
+    normalized basis vectors: the product over blocks of the state applied to
+    (lower product)* (upper product). The indices are not checked."""
+    value = 1.0
+    for block in p.blocks:
+        ups = [upper[pt.index - 1] for pt in block if pt.side == "u"]
+        downs = [lower[pt.index - 1] for pt in block if pt.side == "l"]
+        factor = _psi(
+            algebra,
+            _product(_star(_mul_chain(algebra, downs)), _mul_chain(algebra, ups)),
+        )
+        value *= factor
+        if value == 0.0:
+            return 0.0
+    return value
+
+
 class DenseModel:
     """Concrete matrix model of a multimatrix algebra with its state.
 
@@ -321,7 +420,7 @@ def dense_block_factor(
         inv_sqrt = [x**-0.5 for x in q]
 
         def pos(row: int, col: int) -> int:
-            return algebra.basis_position(BasisIndex(a, row + 1, col + 1))
+            return basis_position(algebra, BasisIndex(a, row + 1, col + 1))
 
         if u and d:
             for xs in itertools.product(range(size), repeat=u + 1):
@@ -420,6 +519,24 @@ def dihedral_group_dict(n: int) -> dict:
 
     table = [[index[compose(a, b)] for b in elements] for a in elements]
     return {"elements": names, "identity": "e", "table": table}
+
+
+def concat(x: Word, y: Word) -> Word:
+    """The letters of ``x`` followed by those of ``y``."""
+    if x.group != y.group:
+        raise DomainError("words belong to different groups")
+    return Word(x.group, x.letters + y.letters)
+
+
+def fuse_words(x: Word, y: Word) -> Word:
+    """Merge the last letter of ``x`` into the first of ``y`` by group
+    multiplication; both words must be nonempty."""
+    if x.group != y.group:
+        raise DomainError("words belong to different groups")
+    if not x.letters or not y.letters:
+        raise DomainError("fusion needs two nonempty words")
+    merged = x.group.mul(x.letters[-1], y.letters[0])
+    return Word(x.group, x.letters[:-1] + (merged,) + y.letters[1:])
 
 
 def fusion_product_by_definition(x: Word, y: Word) -> Counter:

@@ -40,7 +40,13 @@ from ncwreath.partitions import (
 )
 from ncwreath.tensor_maps import build_map, gram_rank, verify_composition
 
-from helpers import all_set_partitions, make_partition as P, symmetric_group_dict
+from helpers import (
+    all_set_partitions,
+    basis_position,
+    make_partition as P,
+    mul_basis,
+    symmetric_group_dict,
+)
 
 C4_UNIFORM = MultiMatrixAlgebra((1, 1, 1, 1), ((0.25,), (0.25,), (0.25,), (0.25,)))
 M2_HALF = MultiMatrixAlgebra((2,), ((0.5, 0.5),))
@@ -269,10 +275,10 @@ def _structure_matrix(algebra: MultiMatrixAlgebra) -> np.ndarray:
     out = np.zeros((n, n * n))
     for a, left in enumerate(basis):
         for b, right in enumerate(basis):
-            product = algebra.mul_basis(left, right)
+            product = mul_basis(algebra, left, right)
             if product is not None:
                 coef, result = product
-                out[algebra.basis_position(result), a * n + b] += coef
+                out[basis_position(algebra, result), a * n + b] += coef
     return out
 
 

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from ncwreath.algebra import MultiMatrixAlgebra
+from ncwreath import cli
 from ncwreath.cli import COMMANDS, build_parser, main, run
 from ncwreath.decorated import DecoratedPartition
 from ncwreath.groups import CyclicGroup
@@ -408,6 +409,14 @@ class TestAlgebraCommands:
         assert code == 2
         assert err.startswith("parse error:")
 
+    @pytest.mark.parametrize("q", ["1", ["0.5", "0.5"], [True]])
+    def test_check_rejects_non_numeric_weights(self, capsys, write_json, q):
+        size = len(q) if isinstance(q, list) else 1
+        path = write_json("strings.json", {"blocks": [{"size": size, "q": q}]})
+        code, out, err = run_cli(capsys, "algebra", "check", "--spec", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:") and "number" in err
+
     def test_decompose_text(self, capsys, write_json):
         path = write_json("mixed.json", MIXED)
         code, out, _ = run_cli(capsys, "algebra", "decompose", "--algebra", path)
@@ -440,6 +449,17 @@ class TestDecoratedCommands:
         )
         assert code == 0
         assert out.strip() == "14"
+
+    def test_count_builds_no_diagrams(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count must not list the diagrams")
+
+        monkeypatch.setattr(cli, "enumerate_decorated", refuse)
+        code, out, _ = run_cli(
+            capsys, "decorated", "count", "--group", "cyclic:2",
+            "--x", "e,e,e,e", "--y", "e,e,e,e",
+        )
+        assert (code, out) == (0, "1430\n")
 
     def test_count_empty_lower(self, capsys):
         code, out, _ = run_cli(

@@ -15,10 +15,8 @@ from ncwreath.fusion import (
     Word,
     WordRing,
     a_rep_trivial_multiplicity,
-    concat,
     dimension,
     free_product_fusion,
-    fuse_words,
     fusion_product,
     involution,
     multiplicity_of_trivial,
@@ -27,7 +25,9 @@ from ncwreath.fusion import (
 from ncwreath.partitions import catalan
 
 from helpers import (
+    concat,
     free_product_fusion_recursive,
+    fuse_words,
     fusion_product_by_definition,
     symmetric_group_dict,
     word_dimension_from_the_right,
@@ -44,7 +44,7 @@ def W(group, *letters) -> Word:
 
 
 def random_word(rng, group, max_len=3) -> Word:
-    elems = list(group.elements()) if group.is_finite else list(range(-2, 3))
+    elems = list(range(-2, 3)) if group == ZZ else list(group.elements())
     return Word(group, tuple(rng.choice(elems) for _ in range(rng.randint(0, max_len))))
 
 
@@ -184,7 +184,7 @@ class TestFusionProduct:
     @pytest.mark.parametrize("group", [Z2, Z3, ZZ, S3])
     def test_matches_every_cut_definition(self, group):
         rng = random.Random(61)
-        elems = list(group.elements()) if group.is_finite else list(range(-2, 3))
+        elems = list(range(-2, 3)) if group == ZZ else list(group.elements())
         for _ in range(150):
             x = random_word(rng, group, max_len=8)
             # y starts with the involution of a suffix of x, so some cuts

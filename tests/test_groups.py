@@ -69,8 +69,7 @@ class TestCyclicGroup:
         g = CyclicGroup(1)
         assert g.parse_element("s") == 0
 
-    def test_is_finite(self):
-        assert CyclicGroup(2).is_finite
+    def test_describe(self):
         assert CyclicGroup(2).describe() == "cyclic:2"
 
 
@@ -80,7 +79,6 @@ class TestIntegerGroup:
         assert g.identity() == 0
         assert g.mul(3, -5) == -2
         assert g.inv(7) == -7
-        assert g.product([1, 2, 3]) == 6
 
     def test_parse_and_name(self):
         g = IntegerGroup()
@@ -91,7 +89,6 @@ class TestIntegerGroup:
 
     def test_elements_listing_is_refused(self):
         g = IntegerGroup()
-        assert not g.is_finite
         with pytest.raises(DomainError):
             g.elements()
 
@@ -103,7 +100,6 @@ class TestIntegerGroup:
 class TestTableGroup:
     def test_symmetric_group_structure(self):
         g = TableGroup.from_dict(symmetric_group_dict(3))
-        assert g.is_finite
         assert len(g.elements()) == 6
         swap01 = g.parse_element("102")
         swap12 = g.parse_element("021")
