@@ -4,9 +4,9 @@ An algebra is a direct sum of full matrix blocks; the state is a weighted
 trace with strictly positive diagonal weights summing to one. The key derived
 quantity per block is the inverse-weight trace: the state is a delta-form —
 the multiplication map composed with its adjoint is a scalar — exactly when
-that trace takes the same value on every block, and the coarsest splitting of
-the blocks into renormalizable delta-form factors groups blocks by that raw
-value.
+that trace takes the same value on every block. In floating point, one rule
+groups the traces into classes; a delta-form has one class, and the coarsest
+splitting into renormalizable delta-form factors has one factor per class.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ class MultiMatrixAlgebra:
         return tuple(sum(1.0 / x for x in row) for row in self.weights)
 
     def is_delta_form(self, tolerance: float = DEFAULT_TOLERANCE) -> Optional[float]:
-        """The common inverse-weight trace if the state is a delta-form
-        (all blocks agree within relative ``tolerance``), else ``None``."""
+        """The mean inverse-weight trace if all blocks fall in one trace class
+        (the state is a delta-form), else ``None``."""
         traces = self.block_inverse_traces()
-        lo, hi = min(traces), max(traces)
-        if hi - lo > tolerance * max(1.0, abs(hi)):
+        if len(_trace_classes(traces, tolerance)) > 1:
             return None
         return sum(traces) / len(traces)
 
@@ -111,26 +110,16 @@ class MultiMatrixAlgebra:
     def decompose_by_delta(
         self, tolerance: float = DEFAULT_TOLERANCE
     ) -> list["DeltaFactor"]:
-        """Coarsest splitting into delta-form factors.
+        """Coarsest splitting into delta-form factors, one per trace class.
 
-        Blocks whose inverse-weight traces agree (within relative
-        ``tolerance``) are grouped; each group's state is renormalized to mass
-        one, which scales every member trace by the group mass and yields the
-        factor's delta. Factors are returned sorted by delta. The grouping
-        depends only on the traces, so permuting blocks permutes factors.
+        Each class's state is renormalized to mass one, which scales every
+        member trace by the class mass and yields the factor's delta. Factors
+        are returned sorted by delta. The classes depend only on the traces,
+        so permuting blocks permutes factors.
         """
         traces = self.block_inverse_traces()
-        order = sorted(range(self.block_count), key=lambda a: traces[a])
-        groups: list[list[int]] = [[order[0]]]
-        for a in order[1:]:
-            prev = groups[-1][-1]
-            scale = max(1.0, abs(traces[a]))
-            if traces[a] - traces[prev] <= tolerance * scale:
-                groups[-1].append(a)
-            else:
-                groups.append([a])
         factors = []
-        for group in groups:
+        for group in _trace_classes(traces, tolerance):
             group.sort()
             mass = sum(self.block_mass(a + 1) for a in group)
             sizes = tuple(self.block_sizes[a] for a in group)
@@ -170,6 +159,21 @@ class MultiMatrixAlgebra:
             sizes.append(size)
             weights.append(_weight_row(entry["q"]))
         return cls(tuple(sizes), tuple(weights))
+
+
+def _trace_classes(traces: tuple[float, ...], tolerance: float) -> list[list[int]]:
+    """0-based block indices grouped by trace: sorted by trace, each block
+    joins its predecessor's class when their traces lie within ``tolerance *
+    max(1, trace)``. Chaining neighbours is the one rule under which the
+    coarsest splitting into delta-form factors is unique."""
+    order = sorted(range(len(traces)), key=traces.__getitem__)
+    classes = [[order[0]]]
+    for prev, a in zip(order, order[1:]):
+        if traces[a] - traces[prev] <= tolerance * max(1.0, abs(traces[a])):
+            classes[-1].append(a)
+        else:
+            classes.append([a])
+    return classes
 
 
 def _weight_row(q: Any) -> tuple[float, ...]:

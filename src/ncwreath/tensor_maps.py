@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,27 +163,16 @@ def verify_composition(
     p: Partition,
     q: Partition,
     *,
-    t_p: Optional[TensorMap] = None,
-    t_q: Optional[TensorMap] = None,
-    t_qp: Optional[TensorMap] = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> float:
     """Max absolute deviation between the map of ``qp`` and the rescaled
-    product ``delta**-cy * (map of q) @ (map of p)``.
-
-    Requires a delta-form state; prebuilt maps may be passed to skip
-    reassembly.
+    product ``delta**-cy * (map of q) @ (map of p)``; needs a delta-form state.
     """
     delta = algebra.is_delta_form()
     if delta is None:
         raise DomainError("composition rescaling needs a delta-form state")
     qp, _, cycles = compose(p, q)
-    if t_p is None:
-        t_p = build_map(algebra, p, max_entries=max_entries)
-    if t_q is None:
-        t_q = build_map(algebra, q, max_entries=max_entries)
-    if t_qp is None:
-        t_qp = build_map(algebra, qp, max_entries=max_entries)
+    t_p, t_q, t_qp = (build_map(algebra, x, max_entries=max_entries) for x in (p, q, qp))
     product = (delta ** float(-cycles)) * (t_q.matrix @ t_p.matrix)
     return float(np.max(np.abs(t_qp.matrix - product)))
 

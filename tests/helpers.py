@@ -502,6 +502,50 @@ def symmetric_group_dict(n: int) -> dict:
     return {"elements": names, "identity": "e", "table": table}
 
 
+def cyclic_group_dict(n: int, swap: Optional[tuple[int, int]] = None) -> dict:
+    """Multiplication-table payload for Z/n, elements named "e", "1", "2", ...
+
+    ``swap=(r, c)`` (n even, r and c non-zero and below n/2) exchanges one 2x2
+    intercalate: columns c and c + n/2 trade places in rows r and r + n/2. The
+    result is still a Latin square with a neutral identity, and it is not
+    associative.
+    """
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if swap is not None:
+        r, c = swap
+        for row in (table[r], table[r + n // 2]):
+            row[c], row[c + n // 2] = row[c + n // 2], row[c]
+    return {"elements": ["e"] + [str(i) for i in range(1, n)], "identity": "e", "table": table}
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square on ``range(n)`` whose first row and column are
+    ``0..n-1`` (so 0 is a neutral identity), as lists of rows."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell: int):
+        if cell == (n - 1) ** 2:
+            yield [row[:] for row in table]
+            return
+        i, j = divmod(cell, n - 1)
+        i, j = i + 1, j + 1
+        for v in range(n):
+            if v not in table[i][:j] and all(table[r][j] != v for r in range(i)):
+                table[i][j] = v
+                yield from fill(cell + 1)
+        table[i][j] = None
+
+    yield from fill(0)
+
+
+def chained_lines_algebra() -> MultiMatrixAlgebra:
+    """Three one-dimensional blocks with inverse-weight traces 3(1 - 0.6e-9),
+    3 and 3(1 + 0.6e-9): each neighbour lies within the default relative
+    tolerance of 1e-9 of the next, while the two ends are 1.2e-9 apart."""
+    traces = (3 * (1 - 0.6e-9), 3.0, 3 * (1 + 0.6e-9))
+    return MultiMatrixAlgebra((1, 1, 1), tuple((1 / t,) for t in traces))
+
+
 def dihedral_group_dict(n: int) -> dict:
     """Multiplication-table payload for the dihedral group of order ``2n``.
 

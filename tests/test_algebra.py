@@ -11,7 +11,13 @@ import pytest
 from ncwreath.algebra import BasisIndex, DeltaFactor, MultiMatrixAlgebra
 from ncwreath.errors import ValidationError
 
-from helpers import DenseModel, all_set_partitions, basis_position, mul_basis
+from helpers import (
+    DenseModel,
+    all_set_partitions,
+    basis_position,
+    chained_lines_algebra,
+    mul_basis,
+)
 
 C4_UNIFORM = MultiMatrixAlgebra((1, 1, 1, 1), ((0.25,), (0.25,), (0.25,), (0.25,)))
 M2_HALF = MultiMatrixAlgebra((2,), ((0.5, 0.5),))
@@ -19,6 +25,7 @@ M2_SKEW = MultiMatrixAlgebra((2,), ((1 / 3, 2 / 3),))
 C2_UNIFORM = MultiMatrixAlgebra((1, 1), ((0.5,), (0.5,)))
 C2_SKEW = MultiMatrixAlgebra((1, 1), ((1 / 3,), (2 / 3,)))
 MIXED = MultiMatrixAlgebra((1, 1, 2), ((0.25,), (0.25,), (0.25, 0.25)))
+CHAINED = chained_lines_algebra()
 
 
 class TestConstruction:
@@ -222,6 +229,26 @@ class TestDecomposeByDelta:
         for factor in MIXED.decompose_by_delta():
             total = sum(x for row in factor.algebra.weights for x in row)
             assert total == pytest.approx(1.0)
+
+
+class TestOneTraceClassRule:
+    """``is_delta_form`` and ``decompose_by_delta`` share one trace-class rule,
+    also where neighbouring traces chain within the tolerance but the ends of
+    the chain do not."""
+
+    @pytest.mark.parametrize("alg", [C4_UNIFORM, M2_SKEW, MIXED, C2_SKEW, CHAINED])
+    def test_delta_form_exactly_when_one_factor(self, alg):
+        assert (alg.is_delta_form() is not None) == (len(alg.decompose_by_delta()) == 1)
+
+    def test_chained_traces_form_one_class(self):
+        assert CHAINED.is_delta_form() == pytest.approx(3.0)
+        (factor,) = CHAINED.decompose_by_delta()
+        assert factor.block_indices == (1, 2, 3)
+        assert factor.algebra.is_delta_form() == pytest.approx(factor.delta)
+
+    def test_chained_traces_match_brute_force_oracle(self):
+        got = {frozenset(f.block_indices) for f in CHAINED.decompose_by_delta()}
+        assert got == oracle_coarsest_grouping(CHAINED)
 
 
 class TestSerialization:

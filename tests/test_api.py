@@ -30,6 +30,7 @@ REMOVED_NAMES = {
     "ncwreath.tensor_maps": ["delta_coefficient", "multi_index", "_mul_chain", "_psi",
                              "_star", "_product", "_ONE", "_ZERO"],
     "ncwreath.fusion": ["concat", "fuse_words"],
+    "ncwreath.groups": ["_ASSOCIATIVITY_FULL_CHECK_MAX", "_ASSOCIATIVITY_SAMPLES", "random"],
 }
 EVERY_REMOVED_NAME = {name for names in REMOVED_NAMES.values() for name in names}
 
@@ -70,3 +71,11 @@ def test_removed_attributes_are_gone(cls, names):
 def test_gram_rank_takes_no_threshold():
     with pytest.raises(TypeError):
         ncwreath.gram_rank([], threshold=0.5)
+
+
+@pytest.mark.parametrize("option", ["t_p", "t_q", "t_qp"])
+def test_verify_composition_takes_no_prebuilt_maps(option):
+    diagram = Partition.from_dict({"upper": 1, "lower": 1, "blocks": [["u1", "l1"]]})
+    algebra = MultiMatrixAlgebra((1,), ((1.0,),))
+    with pytest.raises(TypeError):
+        ncwreath.verify_composition(algebra, diagram, diagram, **{option: None})

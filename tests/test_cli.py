@@ -21,7 +21,7 @@ from ncwreath.groups import CyclicGroup
 from ncwreath.partitions import Partition, adjoint, enumerate_partitions
 from ncwreath.tensor_maps import build_map
 
-from helpers import word_dimension_from_the_right
+from helpers import chained_lines_algebra, cyclic_group_dict, word_dimension_from_the_right
 
 M_PAYLOAD = {"upper": 2, "lower": 1, "blocks": [["u1", "u2", "l1"]]}
 M_STAR_PAYLOAD = {"upper": 1, "lower": 2, "blocks": [["u1", "l1", "l2"]]}
@@ -404,6 +404,15 @@ class TestAlgebraCommands:
         payload = json.loads(out)
         assert payload == {"is_delta_form": False, "delta": None, "factors": 2}
 
+    def test_check_and_decompose_agree_on_chained_traces(self, capsys, write_json):
+        path = write_json("chained.json", chained_lines_algebra().to_dict())
+        code, out, _ = run_cli(capsys, "algebra", "check", "--spec", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["is_delta_form"], payload["factors"]) == (True, 1)
+        code, out, _ = run_cli(capsys, "algebra", "decompose", "--algebra", path)
+        assert (code, out.splitlines()[0]) == (0, "factors: 1")
+
     def test_check_requires_some_path(self, capsys):
         code, _, err = run_cli(capsys, "algebra", "check")
         assert code == 2
@@ -683,6 +692,26 @@ class TestFusionCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("parse error: table entry True")
+
+
+    def test_table_names_must_be_json_strings(self, capsys, write_json):
+        # a string of names would otherwise be read character by character
+        path = write_json(
+            "chars.json", {"elements": "es", "identity": "e", "table": [[0, 1], [1, 0]]}
+        )
+        code, out, err = run_cli(
+            capsys, "fusion", "product", "--group", f"table:{path}", "--x", "s", "--y", "s"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+
+    def test_non_associative_table_of_order_1000_rejected(self, capsys, write_json):
+        path = write_json("big.json", cyclic_group_dict(1000, (1, 1)))
+        code, out, err = run_cli(
+            capsys, "fusion", "product", "--group", f"table:{path}", "--x", "1", "--y", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: table is not associative")
 
 
 class TestTopLevelBehavior:

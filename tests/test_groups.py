@@ -16,7 +16,7 @@ from ncwreath.groups import (
     parse_word_text,
 )
 
-from helpers import symmetric_group_dict
+from helpers import cyclic_group_dict, reduced_latin_squares, symmetric_group_dict
 
 
 class TestCyclicGroup:
@@ -161,6 +161,60 @@ class TestTableGroup:
             TableGroup.from_dict(
                 {"elements": ["e", "a", "b", "c", "d"], "identity": "e", "table": table}
             )
+
+    @pytest.mark.parametrize("n,squares", [(4, 4), (5, 56), (6, 9408)])
+    def test_associativity_verdict_matches_every_triple(self, n, squares):
+        # every loop table of order n: accepted exactly when all n^3 triples
+        # associate, whichever elements the check picks as generators
+        names = tuple("e" if i == 0 else str(i) for i in range(n))
+        seen = 0
+        for table in reduced_latin_squares(n):
+            seen += 1
+            associative = all(
+                table[table[a][b]][c] == table[a][table[b][c]]
+                for a, b, c in itertools.product(range(n), repeat=3)
+            )
+            if associative:
+                TableGroup(names, 0, table)
+            else:
+                with pytest.raises(ValidationError, match="associative"):
+                    TableGroup(names, 0, table)
+        assert seen == squares
+
+    @pytest.mark.parametrize("swap", [(1, 1), (3, 7), (17, 260), (250, 499), (499, 1)])
+    def test_swapped_intercalate_rejected_above_order_24(self, swap):
+        # a Latin square with a neutral identity whose one defect is a
+        # swapped 2x2 intercalate: no sample of triples is sure to find it
+        with pytest.raises(ValidationError, match="associative"):
+            TableGroup.from_dict(cyclic_group_dict(1000, swap))
+
+    def test_large_groups_load(self):
+        z1000 = TableGroup.from_dict(cyclic_group_dict(1000))
+        assert z1000.mul(z1000.parse_element("999"), z1000.parse_element("2")) == 1
+        s5 = TableGroup.from_dict(symmetric_group_dict(5))
+        assert len(s5.elements()) == 120
+        assert s5.element_name(s5.inv(s5.parse_element("12340"))) == "40123"
+
+    def test_rows_coerced_to_tuples(self):
+        g = TableGroup(("e", "s"), 0, [[0, 1], [1, 0]])
+        assert g == TableGroup(("e", "s"), 0, ((0, 1), (1, 0)))
+        assert hash(g) == hash(TableGroup(("e", "s"), 0, ((0, 1), (1, 0))))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"elements": "es", "identity": "e", "table": [[0, 1], [1, 0]]},
+            {"elements": [0, 1], "identity": "0", "table": [[0, 1], [1, 0]]},
+            {"elements": ["0", "1"], "identity": 0, "table": [[0, 1], [1, 0]]},
+            {"elements": ["e", "s"], "identity": "e", "table": [(0, 1), "10"]},
+            {"elements": ["e", "s"], "identity": "e", "table": {"0": [0, 1]}},
+            {"elements": ["e", "s"], "identity": "e"},
+            [["e", "s"], "e", [[0, 1], [1, 0]]],
+        ],
+    )
+    def test_from_dict_requires_json_strings_and_lists(self, payload):
+        with pytest.raises(ValidationError):
+            TableGroup.from_dict(payload)
 
     def test_boolean_entries_rejected(self):
         # True == 1, so a table of booleans would otherwise pass every axiom

@@ -13,7 +13,6 @@ from ncwreath.errors import BoundError, DomainError, ShapeError
 from ncwreath.partitions import (
     adjoint,
     catalan,
-    compose,
     enumerate_partitions,
     identity_partition,
     tensor,
@@ -291,14 +290,6 @@ class TestVerifyComposition:
             p = rng.choice(left)
             q = rng.choice(right)
             assert verify_composition(alg, p, q) <= 1e-9
-
-    def test_prebuilt_maps_are_honored(self):
-        p, q = M_STAR, M_DIAGRAM
-        t_p = build_map(M2_HALF, p)
-        t_q = build_map(M2_HALF, q)
-        t_qp = build_map(M2_HALF, compose(p, q).result)
-        dev = verify_composition(M2_HALF, p, q, t_p=t_p, t_q=t_q, t_qp=t_qp)
-        assert dev <= 1e-9
 
     def test_non_delta_form_state_rejected(self):
         with pytest.raises(DomainError):
