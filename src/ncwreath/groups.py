@@ -26,6 +26,9 @@ __all__ = [
     "parse_word_text",
 ]
 
+#: Element names an error message lists before it cuts a table group short.
+_NAMES_IN_ERRORS = 8
+
 
 class Group(ABC):
     """Common interface over the three group backends."""
@@ -242,7 +245,7 @@ class TableGroup(Group):
             or isinstance(a, bool)
             or not 0 <= a < len(self.element_names)
         ):
-            raise DomainError(f"{a!r} is not an element of {self.describe()}")
+            raise DomainError(f"{a!r} is not an element of {self._brief()}")
         return a
 
     def element_name(self, a: int) -> str:
@@ -253,15 +256,22 @@ class TableGroup(Group):
         try:
             return self.element_names.index(text)
         except ValueError:
-            raise ValidationError(
-                f"{text!r} is not an element of {self.describe()}"
-            ) from None
+            raise ValidationError(f"{text!r} is not an element of {self._brief()}") from None
 
     def elements(self) -> Sequence[int]:
         return range(len(self.element_names))
 
     def describe(self) -> str:
         return f"table group on {{{', '.join(self.element_names)}}}"
+
+    def _brief(self) -> str:
+        """:meth:`describe` for error text: past a few elements, the order
+        and the first names only."""
+        names = self.element_names
+        if len(names) <= _NAMES_IN_ERRORS:
+            return self.describe()
+        shown = ", ".join(names[:_NAMES_IN_ERRORS])
+        return f"table group of order {len(names)} on {{{shown}, ...}}"
 
 
 def parse_group_spec(text: str) -> Group:

@@ -6,19 +6,18 @@ over the blocks of ``p``: each block contributes the state applied to
 (product of its lower basis vectors)* times (product of its upper basis
 vectors), empty products meaning the algebra unit.
 
-Matrices are dense real float64 arrays, rows indexed by lower multi-indices
-and columns by upper multi-indices, both in row-major canonical order (block,
-then row, then column within each tensor factor; first factor most
-significant).
+Matrices are real float64, rows indexed by lower multi-indices and columns
+by upper multi-indices, both in row-major canonical order (block, then row,
+then column within each tensor factor; first factor most significant).
 
 The matrices are extremely sparse: a block's factor is non-zero only on
 closed chains inside one matrix block of the algebra, ``sum(size ** legs)``
 of them. A bounded cache holds, per algebra and block shape, the chain
 table: the basis positions of every chain's legs and its coefficient.
-:func:`build_map` turns each block's chains into flat matrix offsets,
+:func:`build_map` turns each block's chains into flat matrix offsets and
 takes the Cartesian product over the blocks (offsets added, coefficients
-multiplied) and scatters the result into a freshly allocated dense matrix,
-so every map owns its entries.
+multiplied). A :class:`TensorMap` keeps only those non-zeros, in arrays it
+owns; its ``matrix`` is a dense copy made on each access.
 
 The headline identities, checked numerically by the test suite:
 
@@ -31,6 +30,7 @@ The headline identities, checked numerically by the test suite:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,13 +45,17 @@ __all__ = [
     "GRAM_RANK_THRESHOLD",
     "TensorMap",
     "build_map",
+    "check_entry_bound",
     "verify_composition",
     "gram_rank",
     "hom_dimension",
 ]
 
-#: Ceiling on the entry count of a single map matrix.
+#: Ceiling on the non-zeros of one map, and on the entries of a dense matrix.
 DEFAULT_MAX_ENTRIES = 1 << 24
+
+#: Largest flat offset an int64 holds.
+_MAX_OFFSET = np.iinfo(np.int64).max
 
 #: Relative singular-value cutoff used by :func:`gram_rank`.
 GRAM_RANK_THRESHOLD = 1e-7
@@ -103,11 +107,32 @@ def _block_entries(
 
 @dataclass(eq=False)
 class TensorMap:
-    """The matrix of one diagram over one algebra."""
+    """The matrix of one diagram over one algebra, kept as its non-zeros:
+    ``values[i]`` sits at row-major offset ``flat[i]`` of a ``shape`` matrix.
+    """
 
     algebra: MultiMatrixAlgebra
     partition: Partition
-    matrix: np.ndarray
+    shape: tuple[int, int]
+    flat: np.ndarray
+    values: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built afresh on every access."""
+        out = np.zeros(self.shape[0] * self.shape[1])
+        out[self.flat] = self.values
+        return out.reshape(self.shape)
+
+
+def check_entry_bound(algebra: MultiMatrixAlgebra, p: Partition, max_entries: int) -> None:
+    """Raise :class:`BoundError` when the dense matrix of ``p`` would exceed
+    ``max_entries`` entries."""
+    n, points = algebra.dim, p.upper + p.lower
+    if n**points > max_entries:
+        raise BoundError(
+            f"map matrix would hold {n}^{points} entries, over the bound {max_entries}"
+        )
 
 
 def build_map(
@@ -116,23 +141,22 @@ def build_map(
     *,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> TensorMap:
-    """Assemble the matrix of ``p`` from the non-zero chains of its blocks.
+    """Assemble the non-zeros of ``p``'s matrix from the chains of its blocks.
 
     Each block contributes the flat offsets ``strides . legs`` of its chains
     and their coefficients; the map's non-zeros are the Cartesian product of
-    these lists over the blocks (offsets added, coefficients multiplied),
-    scattered into a freshly allocated dense matrix.
+    these lists over the blocks (offsets added, coefficients multiplied).
 
-    Raises :class:`BoundError` when the matrix would exceed ``max_entries``
-    entries.
+    Raises :class:`BoundError` when the map would hold more than
+    ``max_entries`` non-zeros, or when its flat offsets would not fit in
+    int64; both are known before anything is allocated.
     """
     n = algebra.dim
     k, l = p.upper, p.lower
-    if n ** (k + l) > max_entries:
+    if n ** (k + l) - 1 > _MAX_OFFSET:
         raise BoundError(
-            f"map matrix would hold {n}^{k + l} entries, over the bound {max_entries}"
+            f"map matrix of {n}^{k + l} entries: flat offsets overflow int64"
         )
-    out = np.zeros(n ** (l + k))
     # Flat index strides: lower leg j (bent-line position k + l - j) is digit
     # j - 1 from the left, upper leg i (position i - 1) digit l + i - 1. Each
     # block, in canonical order, lists its lower legs, then its upper legs.
@@ -147,15 +171,18 @@ def build_map(
     for downs, ups in strides.values():
         legs, coefs = _block_entries(algebra, len(ups), len(downs))
         parts.append((np.array(downs + ups).dot(legs), coefs))
+    count = math.prod(len(coefs) for _, coefs in parts)
+    if count > max_entries:
+        raise BoundError(f"map would hold {count} non-zeros, over the bound {max_entries}")
     # Each next block goes outermost: the inner loops run over the long
     # accumulated arrays, and coefficients multiply in block order, as in the
     # entry-wise definition. The map of the empty diagram is the matrix (1).
-    flat, values = parts[0] if parts else (0, 1.0)
+    flat, values = parts[0] if parts else (np.zeros(1, dtype=np.int64), np.ones(1))
+    values = values.copy()  # a one-block map must not alias the cached table
     for offsets, coefs in parts[1:]:
         flat = (offsets[:, None] + flat).ravel()
         values = (coefs[:, None] * values).ravel()
-    out[flat] = values
-    return TensorMap(algebra, p, out.reshape(n**l, n**k))
+    return TensorMap(algebra, p, (n**l, n**k), flat, values)
 
 
 def verify_composition(
@@ -172,6 +199,8 @@ def verify_composition(
     if delta is None:
         raise DomainError("composition rescaling needs a delta-form state")
     qp, _, cycles = compose(p, q)
+    for x in (p, q, qp):
+        check_entry_bound(algebra, x, max_entries)
     t_p, t_q, t_qp = (build_map(algebra, x, max_entries=max_entries) for x in (p, q, qp))
     product = (delta ** float(-cycles)) * (t_q.matrix @ t_p.matrix)
     return float(np.max(np.abs(t_qp.matrix - product)))
@@ -180,14 +209,21 @@ def verify_composition(
 def gram_rank(maps: Sequence[TensorMap]) -> int:
     """Rank of the span of the given maps, via the Gram matrix of pairwise
     trace inner products; singular values below :data:`GRAM_RANK_THRESHOLD`
-    times the largest are treated as zero."""
+    times the largest are treated as zero.
+
+    Only the union of the maps' supports enters the Gram: the maps are
+    stacked as rows over those offsets alone.
+    """
     if not maps:
         return 0
     first = maps[0]
     for t in maps[1:]:
-        if t.matrix.shape != first.matrix.shape or t.algebra != first.algebra:
+        if t.shape != first.shape or t.algebra != first.algebra:
             raise ShapeError("gram_rank needs maps of one shape over one algebra")
-    stacked = np.stack([t.matrix.reshape(-1) for t in maps])
+    support, columns = np.unique(np.concatenate([t.flat for t in maps]), return_inverse=True)
+    rows = np.repeat(np.arange(len(maps)), [len(t.flat) for t in maps])
+    stacked = np.zeros((len(maps), len(support)))
+    stacked[rows, columns] = np.concatenate([t.values for t in maps])
     gram = stacked @ stacked.T
     singular = np.linalg.svd(gram, compute_uv=False)
     if singular[0] <= 0.0:

@@ -17,6 +17,7 @@ from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
 from ncwreath.errors import DomainError
 from ncwreath.fusion import AlternatingWord, Word, involution
 from ncwreath.partitions import Partition, Point, parse_point
+from ncwreath.tensor_maps import GRAM_RANK_THRESHOLD
 
 
 def make_partition(upper: int, lower: int, *blocks: str) -> Partition:
@@ -484,6 +485,16 @@ def _build_map_by_definition(algebra: MultiMatrixAlgebra, p: Partition) -> np.nd
         for c, upper in enumerate(cols):
             out[r, c] = delta_coefficient(algebra, p, upper, lower)
     return out
+
+
+def gram_rank_dense(maps) -> int:
+    """Rank of the maps' span from the Gram of their full dense matrices,
+    stacked one flattened matrix per row, cut at the library's threshold."""
+    stacked = np.stack([t.matrix.reshape(-1) for t in maps])
+    singular = np.linalg.svd(stacked @ stacked.T, compute_uv=False)
+    if singular[0] <= 0.0:
+        return 0
+    return int(np.sum(singular > GRAM_RANK_THRESHOLD * singular[0]))
 
 
 def symmetric_group_dict(n: int) -> dict:

@@ -63,6 +63,7 @@ ZZ = IntegerGroup()
 S3 = TableGroup.from_dict(symmetric_group_dict(3))
 
 _MAP_CACHE: dict = {}
+_MATRIX_CACHE: dict = {}
 _COMPOSE_CACHE: dict = {}
 
 
@@ -71,6 +72,15 @@ def cached_map(algebra: MultiMatrixAlgebra, p: Partition):
     got = _MAP_CACHE.get(key)
     if got is None:
         got = _MAP_CACHE[key] = build_map(algebra, p)
+    return got
+
+
+def cached_matrix(algebra: MultiMatrixAlgebra, p: Partition) -> np.ndarray:
+    """The dense matrix of the cached map (a map builds it afresh per access)."""
+    key = (algebra, p)
+    got = _MATRIX_CACHE.get(key)
+    if got is None:
+        got = _MATRIX_CACHE[key] = cached_map(algebra, p).matrix
     return got
 
 
@@ -204,15 +214,11 @@ def test_criterion_04_map_functoriality():
             # verify_composition's identity T_qp = δ^-cy T_q T_p, on cached maps
             delta = algebra.is_delta_form()
             for p in enumerate_partitions(k, l):
-                t_p = cached_map(algebra, p)
+                t_p = cached_matrix(algebra, p)
                 for q in enumerate_partitions(l, m):
                     qp, _, cycles = cached_compose(p, q)
-                    product = (delta ** float(-cycles)) * (
-                        cached_map(algebra, q).matrix @ t_p.matrix
-                    )
-                    deviation = float(
-                        np.max(np.abs(cached_map(algebra, qp).matrix - product))
-                    )
+                    product = (delta ** float(-cycles)) * (cached_matrix(algebra, q) @ t_p)
+                    deviation = float(np.max(np.abs(cached_matrix(algebra, qp) - product)))
                     worst_compose = max(worst_compose, deviation)
                     pairs += 1
     if worst_compose > 1e-9:
@@ -224,17 +230,11 @@ def test_criterion_04_map_functoriality():
             continue
         for algebra in algebras:
             for p in enumerate_partitions(k, l):
-                t_p = cached_map(algebra, p)
+                t_p = cached_matrix(algebra, p)
                 for q in enumerate_partitions(k2, l2):
-                    t_q = cached_map(algebra, q)
-                    side_by_side = cached_map(algebra, tensor(p, q))
-                    deviation = float(
-                        np.max(
-                            np.abs(
-                                side_by_side.matrix - np.kron(t_p.matrix, t_q.matrix)
-                            )
-                        )
-                    )
+                    t_q = cached_matrix(algebra, q)
+                    side_by_side = cached_matrix(algebra, tensor(p, q))
+                    deviation = float(np.max(np.abs(side_by_side - np.kron(t_p, t_q))))
                     worst_tensor = max(worst_tensor, deviation)
     if worst_tensor > 1e-12:
         problems.append(f"tensor deviation {worst_tensor:.2e} > 1e-12")
@@ -244,12 +244,8 @@ def test_criterion_04_map_functoriality():
         for l in range(7 - k):
             for algebra in algebras:
                 for p in enumerate_partitions(k, l):
-                    flipped = cached_map(algebra, adjoint(p))
-                    deviation = float(
-                        np.max(
-                            np.abs(flipped.matrix - cached_map(algebra, p).matrix.T)
-                        )
-                    )
+                    flipped = cached_matrix(algebra, adjoint(p))
+                    deviation = float(np.max(np.abs(flipped - cached_matrix(algebra, p).T)))
                     worst_adjoint = max(worst_adjoint, deviation)
     if worst_adjoint > 1e-12:
         problems.append(f"adjoint deviation {worst_adjoint:.2e} > 1e-12")

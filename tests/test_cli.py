@@ -713,6 +713,15 @@ class TestFusionCommands:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: table is not associative")
 
+    def test_bad_letter_over_a_large_table_stays_one_short_line(self, capsys, write_json):
+        path = write_json("z1000.json", cyclic_group_dict(1000))
+        code, out, err = run_cli(
+            capsys, "fusion", "product", "--group", f"table:{path}", "--x", "1", "--y", "x9"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: 'x9' is not an element of")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+
 
 class TestTopLevelBehavior:
     def test_unknown_topic(self, capsys):

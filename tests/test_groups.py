@@ -195,6 +195,23 @@ class TestTableGroup:
         assert len(s5.elements()) == 120
         assert s5.element_name(s5.inv(s5.parse_element("12340"))) == "40123"
 
+    def test_error_text_of_a_large_table_is_short(self):
+        z1000 = TableGroup.from_dict(cyclic_group_dict(1000))
+        with pytest.raises(ValidationError) as caught:
+            z1000.parse_element("x9")
+        text = str(caught.value)
+        assert len(text) < 200
+        assert text.startswith("'x9' is not an element of table group of order 1000")
+        with pytest.raises(DomainError, match="^1000 is not an element of table group of order"):
+            z1000.check(1000)
+        assert len(z1000.describe()) > 4000
+
+    def test_error_text_of_a_small_table_lists_every_name(self):
+        s3 = TableGroup.from_dict(symmetric_group_dict(3))
+        with pytest.raises(ValidationError) as caught:
+            s3.parse_element("x")
+        assert str(caught.value) == f"'x' is not an element of {s3.describe()}"
+
     def test_rows_coerced_to_tuples(self):
         g = TableGroup(("e", "s"), 0, [[0, 1], [1, 0]])
         assert g == TableGroup(("e", "s"), 0, ((0, 1), (1, 0)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     basis_position,
     build_map_einsum,
     delta_coefficient,
+    gram_rank_dense,
     make_partition as P,
     mul_basis,
     random_noncrossing,
@@ -156,8 +158,10 @@ class TestBuildMap:
         assert got[0, 0] == 1.0
 
     def test_entry_bound_enforced(self):
-        with pytest.raises(BoundError):
-            build_map(C4_UNIFORM, identity_partition(3), max_entries=1000)
+        # the bound counts non-zeros: three strands over C^4 hold 4^3 of them
+        with pytest.raises(BoundError, match="64 non-zeros"):
+            build_map(C4_UNIFORM, identity_partition(3), max_entries=63)
+        assert len(build_map(C4_UNIFORM, identity_partition(3), max_entries=64).flat) == 64
 
     def test_map_records_shape(self):
         t = build_map(M2_HALF, M_DIAGRAM)
@@ -170,6 +174,8 @@ M2_NONTRACIAL = MultiMatrixAlgebra((2,), ((0.2, 0.8),))
 M2_PLUS_C = MultiMatrixAlgebra((2, 1), ((0.4, 0.4), (0.2,)))
 M3_SKEW = MultiMatrixAlgebra((3,), ((0.2, 0.3, 0.5),))
 ORACLE_ALGEBRAS = [M2_HALF, M2_NONTRACIAL, C4_UNIFORM, M2_PLUS_C, M3_SKEW]
+C5_UNIFORM = MultiMatrixAlgebra((1,) * 5, ((0.2,),) * 5)
+PERFBENCH_ALGEBRAS = [M2_HALF, M2_NONTRACIAL, C4_UNIFORM, C5_UNIFORM, M2_PLUS_C]
 
 
 def expected_nonzeros(alg, p) -> int:
@@ -238,11 +244,89 @@ class TestSparseAssembly:
     def test_mutating_a_map_leaves_later_maps_intact(self):
         p = P(2, 1, "u1 u2 l1")
         t = build_map(M2_HALF, p)
-        t.matrix *= 0
+        legs, coefs = _block_entries(M2_HALF, 2, 1)
+        assert not np.shares_memory(t.values, coefs)
+        assert not np.shares_memory(t.flat, legs)
+        view = t.matrix
+        view *= 0
+        assert np.count_nonzero(t.matrix) == expected_nonzeros(M2_HALF, p)
+        t.values *= 0
+        t.flat[:] = 0
         for q in (p, P(3, 1, "u1 u2 l1", "u3"), P(3, 2, "u1 u3 l2", "u2", "l1")):
             rebuilt = build_map(M2_HALF, q).matrix
             assert np.max(np.abs(rebuilt - build_map_einsum(M2_HALF, q))) <= 1e-12
             assert np.count_nonzero(rebuilt) == expected_nonzeros(M2_HALF, q)
+
+
+def one_block(points: int, upper: int = 0):
+    """The diagram whose single block holds every point."""
+    tokens = [f"u{i}" for i in range(1, upper + 1)]
+    tokens += [f"l{j}" for j in range(1, points - upper + 1)]
+    return P(upper, points - upper, " ".join(tokens))
+
+
+class TestNonZeroBounds:
+    """Maps are bounded by their non-zeros and by int64 offsets, not by
+    their dense size."""
+
+    def test_twenty_points_keep_four_non_zeros(self):
+        p = one_block(20, 10)
+        t = build_map(C4_UNIFORM, p)
+        assert t.shape == (4**10, 4**10) and 4**20 > 1 << 24
+        assert t.flat.dtype == np.int64 and len(t.flat) == len(t.values) == 4
+        # a chain lies in one block a of C^4: every digit of its offset is a
+        ones = (4**20 - 1) // 3
+        got = sorted(zip(t.flat.tolist(), t.values.tolist()))
+        basis = C4_UNIFORM.basis_indices()
+        want = [
+            (a * ones, delta_coefficient(C4_UNIFORM, p, (x,) * 10, (x,) * 10))
+            for a, x in enumerate(basis)
+        ]
+        assert [f for f, _ in got] == [f for f, _ in want]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], abs=1e-12)
+
+    def test_gram_of_maps_past_the_dense_bound(self):
+        two_blocks = P(10, 10, " ".join(f"u{i}" for i in range(1, 11)),
+                       " ".join(f"l{j}" for j in range(1, 11)))
+        maps = [build_map(C4_UNIFORM, one_block(20, 10)), build_map(C4_UNIFORM, two_blocks)]
+        assert len(maps[1].flat) == 16
+        assert gram_rank(maps) == 2
+
+    def test_largest_offset_that_fits_int64(self):
+        t = build_map(C4_UNIFORM, one_block(31))
+        assert int(t.flat.max()) == 4**31 - 1
+        assert t.flat.dtype == np.int64
+
+    @pytest.mark.parametrize("points", [32, 40])
+    def test_offsets_past_int64_refused(self, points):
+        with pytest.raises(BoundError, match="overflow int64"):
+            build_map(C4_UNIFORM, one_block(points))
+
+    def test_non_zero_bound_raises_before_allocating(self):
+        # twelve singletons over C^4: 4^12 = 2^24 non-zeros, 128 MiB of offsets
+        singletons = P(6, 6, *(f"u{i}" for i in range(1, 7)), *(f"l{j}" for j in range(1, 7)))
+        build_map(C4_UNIFORM, P(1, 0, "u1"))  # fill the chain-table cache
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match=f"{4**12} non-zeros"):
+                build_map(C4_UNIFORM, singletons, max_entries=4**12 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_ten_point_map_peaks_small(self):
+        # 2^10 non-zeros of a 4^10-entry matrix: 8 MiB if assembled densely
+        p = random_noncrossing(random.Random(12), 5, 5)
+        build_map(M2_HALF, p)
+        tracemalloc.start()
+        try:
+            t = build_map(M2_HALF, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t.flat) == expected_nonzeros(M2_HALF, p)
+        assert peak < 1 << 20
 
 
 class TestTensorCompatibility:
@@ -326,6 +410,13 @@ class TestGramRank:
     def test_duplicates_do_not_raise_rank(self):
         t = build_map(M2_HALF, M_DIAGRAM)
         assert gram_rank([t, t, t]) == 1
+
+    @pytest.mark.parametrize("alg", PERFBENCH_ALGEBRAS)
+    def test_matches_dense_stack(self, alg):
+        for points in range(7):
+            for k in range(points + 1):
+                maps = [build_map(alg, p) for p in enumerate_partitions(k, points - k)]
+                assert gram_rank(maps) == gram_rank_dense(maps)
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ShapeError):
