@@ -64,9 +64,9 @@ from .partitions import (
 from .tensor_maps import (
     DEFAULT_MAX_ENTRIES,
     build_map,
-    check_entry_bound,
     gram_rank,
     hom_dimension,
+    map_matrix,
     verify_composition,
 )
 
@@ -243,8 +243,7 @@ def _cmd_partitions_tensor(args: argparse.Namespace) -> Result:
 def _cmd_tmap_build(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     p = _load_partition(args.partition)
-    check_entry_bound(algebra, p, args.max_entries)
-    matrix = build_map(algebra, p, max_entries=args.max_entries).matrix
+    matrix = map_matrix(algebra, p, max_entries=args.max_entries)
     rows, cols = matrix.shape
     payload = {
         "algebra": algebra,

@@ -17,7 +17,9 @@ table: the basis positions of every chain's legs and its coefficient.
 :func:`build_map` turns each block's chains into flat matrix offsets and
 takes the Cartesian product over the blocks (offsets added, coefficients
 multiplied). A :class:`TensorMap` keeps only those non-zeros, in arrays it
-owns; its ``matrix`` is a dense copy made on each access.
+owns; :meth:`TensorMap.dense` scatters them into a fresh dense matrix under
+a bound on its entries, and :func:`map_matrix` checks that bound before it
+builds anything.
 
 The headline identities, checked numerically by the test suite:
 
@@ -30,7 +32,6 @@ The headline identities, checked numerically by the test suite:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,14 +46,20 @@ __all__ = [
     "GRAM_RANK_THRESHOLD",
     "TensorMap",
     "build_map",
-    "check_entry_bound",
+    "map_matrix",
     "verify_composition",
     "gram_rank",
     "hom_dimension",
 ]
 
-#: Ceiling on the non-zeros of one map, and on the entries of a dense matrix.
+#: Ceiling on the non-zeros of one map and the entries of its chain tables,
+#: and on the entries of a dense matrix.
 DEFAULT_MAX_ENTRIES = 1 << 24
+
+#: Chain tables of at most this many leg entries stay cached. A map within
+#: the dense bound over a two-by-two block needs at most 12 * 2**12; larger
+#: tables are rebuilt on each use rather than held for the process's life.
+_CACHED_TABLE_ENTRIES = 1 << 16
 
 #: Largest flat offset an int64 holds.
 _MAX_OFFSET = np.iinfo(np.int64).max
@@ -119,20 +126,33 @@ class TensorMap:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, built afresh on every access."""
+        """The dense matrix under the default bound; see :meth:`dense`."""
+        return self.dense()
+
+    def dense(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
+        """The dense matrix, built afresh on every call.
+
+        Raises :class:`BoundError` when it would hold more than
+        ``max_entries`` entries.
+        """
+        _check_dense(self.algebra, self.partition, max_entries)
         out = np.zeros(self.shape[0] * self.shape[1])
         out[self.flat] = self.values
         return out.reshape(self.shape)
 
 
-def check_entry_bound(algebra: MultiMatrixAlgebra, p: Partition, max_entries: int) -> None:
-    """Raise :class:`BoundError` when the dense matrix of ``p`` would exceed
-    ``max_entries`` entries."""
+def _check_dense(algebra: MultiMatrixAlgebra, p: Partition, max_entries: int) -> None:
     n, points = algebra.dim, p.upper + p.lower
     if n**points > max_entries:
         raise BoundError(
             f"map matrix would hold {n}^{points} entries, over the bound {max_entries}"
         )
+
+
+@functools.lru_cache(maxsize=1024)
+def _chain_count(block_sizes: tuple[int, ...], legs: int) -> int:
+    """Number of chains of a block with ``legs`` legs: ``sum(size ** legs)``."""
+    return sum(size**legs for size in block_sizes)
 
 
 def build_map(
@@ -148,8 +168,10 @@ def build_map(
     these lists over the blocks (offsets added, coefficients multiplied).
 
     Raises :class:`BoundError` when the map would hold more than
-    ``max_entries`` non-zeros, or when its flat offsets would not fit in
-    int64; both are known before anything is allocated.
+    ``max_entries`` non-zeros, when one of its blocks would need a chain
+    table (legs times chains) of more than ``max_entries`` entries, or when
+    its flat offsets would not fit in int64. All three follow from the
+    diagram's block shapes and are checked before any table is built.
     """
     n = algebra.dim
     k, l = p.upper, p.lower
@@ -167,13 +189,25 @@ def build_map(
             strides[heads[pos]][0].append(n**pos)
         else:
             strides[heads[pos]][1].insert(0, n ** (k - 1 - pos))
-    parts = []
+    # A block of L legs has _chain_count(L) chains and a table of L times as
+    # many leg entries: every size is known before any table is built.
+    count, tables = 1, []
     for downs, ups in strides.values():
-        legs, coefs = _block_entries(algebra, len(ups), len(downs))
-        parts.append((np.array(downs + ups).dot(legs), coefs))
-    count = math.prod(len(coefs) for _, coefs in parts)
+        legs = len(downs) + len(ups)
+        chains = _chain_count(algebra.block_sizes, legs)
+        count *= chains
+        tables.append(legs * chains)
     if count > max_entries:
         raise BoundError(f"map would hold {count} non-zeros, over the bound {max_entries}")
+    if tables and max(tables) > max_entries:
+        raise BoundError(
+            f"a chain table would hold {max(tables)} entries, over the bound {max_entries}"
+        )
+    parts = []
+    for (downs, ups), size in zip(strides.values(), tables):
+        table = _block_entries if size <= _CACHED_TABLE_ENTRIES else _block_entries.__wrapped__
+        legs, coefs = table(algebra, len(ups), len(downs))
+        parts.append((np.array(downs + ups).dot(legs), coefs))
     # Each next block goes outermost: the inner loops run over the long
     # accumulated arrays, and coefficients multiply in block order, as in the
     # entry-wise definition. The map of the empty diagram is the matrix (1).
@@ -183,6 +217,25 @@ def build_map(
         flat = (offsets[:, None] + flat).ravel()
         values = (coefs[:, None] * values).ravel()
     return TensorMap(algebra, p, (n**l, n**k), flat, values)
+
+
+def map_matrix(
+    algebra: MultiMatrixAlgebra,
+    p: Partition,
+    *,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> np.ndarray:
+    """The dense matrix of ``p``'s map.
+
+    Raises :class:`BoundError` when it would hold more than ``max_entries``
+    entries, before anything is built. Within that bound the map's non-zeros
+    and chain tables are no larger than the dense matrix (over a
+    one-dimensional algebra a table is one chain of ``legs`` entries), so the
+    build runs under the default bound at least.
+    """
+    _check_dense(algebra, p, max_entries)
+    built = build_map(algebra, p, max_entries=max(max_entries, DEFAULT_MAX_ENTRIES))
+    return built.dense(max_entries)
 
 
 def verify_composition(
@@ -199,11 +252,9 @@ def verify_composition(
     if delta is None:
         raise DomainError("composition rescaling needs a delta-form state")
     qp, _, cycles = compose(p, q)
-    for x in (p, q, qp):
-        check_entry_bound(algebra, x, max_entries)
-    t_p, t_q, t_qp = (build_map(algebra, x, max_entries=max_entries) for x in (p, q, qp))
-    product = (delta ** float(-cycles)) * (t_q.matrix @ t_p.matrix)
-    return float(np.max(np.abs(t_qp.matrix - product)))
+    m_p, m_q, m_qp = (map_matrix(algebra, x, max_entries=max_entries) for x in (p, q, qp))
+    product = (delta ** float(-cycles)) * (m_q @ m_p)
+    return float(np.max(np.abs(m_qp - product)))
 
 
 def gram_rank(maps: Sequence[TensorMap]) -> int:
@@ -212,7 +263,8 @@ def gram_rank(maps: Sequence[TensorMap]) -> int:
     times the largest are treated as zero.
 
     Only the union of the maps' supports enters the Gram: the maps are
-    stacked as rows over those offsets alone.
+    stacked as rows over those offsets alone, so the stack is bounded by the
+    maps' non-zeros, not by their dense shape.
     """
     if not maps:
         return 0

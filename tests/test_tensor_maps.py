@@ -24,6 +24,7 @@ from ncwreath.tensor_maps import (
     build_map,
     gram_rank,
     hom_dimension,
+    map_matrix,
     verify_composition,
 )
 
@@ -314,6 +315,68 @@ class TestNonZeroBounds:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize("points,match", [
+        (26, f"{2**26} non-zeros"),  # one block over M2: 2^26 chains
+        (24, f"chain table would hold {24 * 2**24} entries"),  # 2^24 chains of 24 legs
+    ])
+    def test_block_shapes_bound_before_any_table(self, points, match):
+        _block_entries.cache_clear()  # nothing of this shape may be cached
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match=match):
+                build_map(M2_HALF, one_block(points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert _block_entries.cache_info().currsize == 0
+
+    def test_large_chain_tables_are_not_cached(self):
+        # one block of 14 legs over M2: a table of 14 * 2^14 leg entries
+        p = one_block(14, 7)
+        _block_entries.cache_clear()
+        t = build_map(M2_HALF, p)
+        assert _block_entries.cache_info().currsize == 0
+        assert len(t.flat) == 2**14
+        small = build_map(M2_HALF, one_block(10, 5))
+        assert _block_entries.cache_info().currsize == 1
+        assert len(small.flat) == 2**10
+
+    def test_dense_view_is_bounded(self):
+        # 4^14 = 2^28 dense entries, 2 GiB: refused before any allocation
+        t = build_map(C4_UNIFORM, one_block(14))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match=r"4\^14 entries"):
+                t.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        small = build_map(M2_HALF, M_DIAGRAM)
+        with pytest.raises(BoundError, match=r"4\^3 entries, over the bound 63"):
+            small.dense(63)
+        assert np.array_equal(small.dense(64), small.matrix)
+
+    def test_map_matrix_checks_the_dense_size_first(self):
+        # past int64 and past the non-zero bound, the dense size is named
+        for p in (one_block(40), identity_partition(3)):
+            n = C4_UNIFORM.dim
+            with pytest.raises(BoundError, match=rf"map matrix would hold {n}\^"):
+                map_matrix(C4_UNIFORM, p, max_entries=63)
+        assert np.array_equal(map_matrix(M2_HALF, M_DIAGRAM), build_map(M2_HALF, M_DIAGRAM).matrix)
+
+    def test_map_matrix_over_a_one_dimensional_algebra(self):
+        # its map is one entry at any size, though each table has 12 entries
+        scalar = MultiMatrixAlgebra((1,), ((1.0,),))
+        p = one_block(12, 6)
+        with pytest.raises(BoundError, match="chain table would hold 12 entries"):
+            build_map(scalar, p, max_entries=1)
+        got = map_matrix(scalar, p, max_entries=1)
+        assert got.shape == (1, 1)
+        (one,) = scalar.basis_indices()
+        assert got[0, 0] == pytest.approx(delta_coefficient(scalar, p, (one,) * 6, (one,) * 6))
 
     def test_ten_point_map_peaks_small(self):
         # 2^10 non-zeros of a 4^10-entry matrix: 8 MiB if assembled densely
