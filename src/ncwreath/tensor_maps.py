@@ -229,9 +229,9 @@ def map_matrix(
 
     Raises :class:`BoundError` when it would hold more than ``max_entries``
     entries, before anything is built. Within that bound the map's non-zeros
-    and chain tables are no larger than the dense matrix (over a
-    one-dimensional algebra a table is one chain of ``legs`` entries), so the
-    build runs under the default bound at least.
+    and chain tables fit too, except that over a one-dimensional algebra a
+    table of ``legs`` entries may pass a tiny bound; so the build runs under
+    at least the default bound.
     """
     _check_dense(algebra, p, max_entries)
     built = build_map(algebra, p, max_entries=max(max_entries, DEFAULT_MAX_ENTRIES))
