@@ -7,6 +7,8 @@ the multiplication map composed with its adjoint is a scalar — exactly when
 that trace takes the same value on every block. In floating point, one rule
 groups the traces into classes; a delta-form has one class, and the coarsest
 splitting into renormalizable delta-form factors has one factor per class.
+The constructor checks sizes (``int``) and weights (``int`` or ``float``) by
+the JSON files' rules, never ``bool``; :meth:`from_dict` only unpacks.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ class MultiMatrixAlgebra:
     weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.block_sizes)
-        weights = tuple(tuple(float(x) for x in row) for row in self.weights)
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "weights", weights)
+        sizes = tuple(self.block_sizes)
         if not sizes:
             raise ValidationError("algebra needs at least one block")
+        for size in sizes:
+            if type(size) is not int:
+                raise ValidationError(f"block size must be an integer, got {size!r}")
+        weights = tuple(map(_weight_row, self.weights))
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "weights", weights)
         if any(s < 1 for s in sizes):
             raise ValidationError("block sizes must be >= 1")
         if len(weights) != len(sizes):
@@ -153,11 +158,8 @@ class MultiMatrixAlgebra:
         for entry in blocks:
             if not isinstance(entry, dict) or "size" not in entry or "q" not in entry:
                 raise ValidationError("each block needs 'size' and 'q'")
-            size = entry["size"]
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise ValidationError(f"block size must be an integer, got {size!r}")
-            sizes.append(size)
-            weights.append(_weight_row(entry["q"]))
+            sizes.append(entry["size"])
+            weights.append(entry["q"])
         return cls(tuple(sizes), tuple(weights))
 
 
@@ -177,12 +179,12 @@ def _trace_classes(traces: tuple[float, ...], tolerance: float) -> list[list[int
 
 
 def _weight_row(q: Any) -> tuple[float, ...]:
-    """A block's weights from JSON: a list of numbers, booleans and strings
-    rejected."""
-    if not isinstance(q, list):
+    """A block's weights as floats: ``q`` must be a list or tuple of numbers
+    (an ``int`` or a ``float``); booleans and strings are rejected."""
+    if not isinstance(q, (list, tuple)):
         raise ValidationError(f"block weights must be a list of numbers, got {q!r}")
     for x in q:
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
+        if type(x) is not int and not isinstance(x, float):
             raise ValidationError(f"block weight must be a number, got {x!r}")
     try:
         return tuple(float(x) for x in q)

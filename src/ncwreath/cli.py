@@ -121,8 +121,6 @@ def _parse_factors(text: str) -> tuple[WordRing, ...]:
         except ValueError:
             raise ValidationError(f"bad factor dimension {dim_text!r}") from None
         rings.append(WordRing(parse_group_spec(spec), dim))
-    if not rings:
-        raise ValidationError("at least one factor ring is required")
     return tuple(rings)
 
 

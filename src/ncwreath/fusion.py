@@ -14,7 +14,7 @@ several factor rings, covering states that split into several delta-form
 factors.
 
 Letters are checked once, when they enter (``Word(...)`` and
-``a_rep_trivial_multiplicity``); the words built from them are not re-checked.
+``a_rep_trivial_multiplicity``); words built from them, inverses included, are not.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _same_group(x: Word, y: Word) -> Group:
 
 def involution(x: Word) -> Word:
     """The word of inverted letters in reversed order (the conjugate label)."""
-    return Word(x.group, tuple(x.group.inv(g) for g in reversed(x.letters)))
+    return _word(x.group, tuple(x.group.inv(g) for g in reversed(x.letters)))
 
 
 def fusion_product(x: Word, y: Word) -> Counter:
@@ -166,12 +166,14 @@ def a_rep_trivial_multiplicity(group: Group, letters: Sequence[Any]) -> int:
 @dataclass(frozen=True)
 class WordRing:
     """The word fusion ring attached to one algebra factor of dimension
-    ``dim``: one factor of a free product, named by its group."""
+    ``dim`` (an ``int``): one factor of a free product, named by its group."""
 
     group: Group
     dim: int
 
     def __post_init__(self) -> None:
+        if type(self.dim) is not int:
+            raise ValidationError(f"factor ring dimension must be an integer, got {self.dim!r}")
         if self.dim < MIN_FUSION_DIM:
             raise DomainError(
                 f"factor rings need dimension >= {MIN_FUSION_DIM}, got {self.dim}"
@@ -181,19 +183,21 @@ class WordRing:
 @dataclass(frozen=True)
 class AlternatingWord:
     """A reduced word of a free product: pairs (factor index, nontrivial
-    label) with adjacent factor indices distinct."""
+    label), each index an ``int`` and adjacent indices distinct."""
 
     entries: tuple
 
     def __post_init__(self) -> None:
-        entries = tuple((int(i), label) for i, label in self.entries)
+        entries = tuple((i, label) for i, label in self.entries)
         object.__setattr__(self, "entries", entries)
+        for i, label in entries:
+            if type(i) is not int:
+                raise ValidationError(f"factor index must be an integer, got {i!r}")
+            if not len(label):
+                raise ValidationError("alternating words carry nontrivial labels only")
         for (i, _), (j, _) in zip(entries, entries[1:]):
             if i == j:
                 raise ValidationError(f"adjacent entries share factor {i}")
-        for _, label in entries:
-            if not len(label):
-                raise ValidationError("alternating words carry nontrivial labels only")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -4,7 +4,9 @@ given by an explicit multiplication table.
 Elements are plain hashable values (residues, integers, or table indices);
 each backend knows how to validate, name, and parse them. Group objects are
 immutable and compare structurally, so they can key caches and travel inside
-word types.
+word types. Each constructor checks all of its input by the JSON files' rules
+(orders, indices and table entries are ``int``, never ``bool`` or ``float``;
+names are strings), and :meth:`TableGroup.from_dict` only unpacks the lists.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class CyclicGroup(Group):
     order: int
 
     def __post_init__(self) -> None:
+        if type(self.order) is not int:
+            raise ValidationError(f"cyclic group order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValidationError("cyclic group order must be >= 1")
 
@@ -83,7 +87,7 @@ class CyclicGroup(Group):
         return (-self.check(a)) % self.order
 
     def check(self, a: Any) -> int:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
+        if type(a) is not int or not 0 <= a < self.order:
             raise DomainError(f"{a!r} is not an element of {self.describe()}")
         return a
 
@@ -131,7 +135,7 @@ class IntegerGroup(Group):
         return -self.check(a)
 
     def check(self, a: Any) -> int:
-        if not isinstance(a, int) or isinstance(a, bool):
+        if type(a) is not int:
             raise DomainError(f"{a!r} is not an integer")
         return a
 
@@ -163,9 +167,11 @@ class TableGroup(Group):
         n = len(self.element_names)
         if n == 0:
             raise ValidationError("group table needs at least one element")
+        if any(type(name) is not str for name in self.element_names):
+            raise ValidationError("group element names must be strings")
         if len(set(self.element_names)) != n:
             raise ValidationError("group element names must be distinct")
-        if isinstance(self.identity_index, bool) or not 0 <= self.identity_index < n:
+        if type(self.identity_index) is not int or not 0 <= self.identity_index < n:
             raise ValidationError("identity is not among the elements")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValidationError("multiplication table must be square")
@@ -187,8 +193,7 @@ class TableGroup(Group):
             raise ValidationError("group table must be an object with elements, identity, table")
         names, identity, table = data["elements"], data["identity"], data["table"]
         if not (
-            isinstance(names, list) and all(isinstance(x, str) for x in names)
-            and isinstance(identity, str)
+            isinstance(names, list)
             and isinstance(table, list) and all(isinstance(row, list) for row in table)
         ):
             raise ValidationError(
@@ -240,11 +245,7 @@ class TableGroup(Group):
         return self.table[self.check(a)].index(self.identity_index)
 
     def check(self, a: Any) -> int:
-        if (
-            not isinstance(a, int)
-            or isinstance(a, bool)
-            or not 0 <= a < len(self.element_names)
-        ):
+        if type(a) is not int or not 0 <= a < len(self.element_names):
             raise DomainError(f"{a!r} is not an element of {self._brief()}")
         return a
 

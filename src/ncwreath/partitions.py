@@ -23,9 +23,9 @@ composition: the count of removed central blocks and the cycle exponent
 where ``l`` is the number of identified middle points and ``b`` counts blocks.
 
 Diagrams are validated at the edge and trusted inside. The public
-:class:`Partition` constructor and :meth:`Partition.from_dict` pass one
-validator that checks the point cover and the noncrossing property and
-computes the heads; enumeration and the operations compute the heads of
+:class:`Partition` constructor checks the row sizes (``int``), the point cover
+and the noncrossing property and computes the heads; :meth:`Partition.from_dict`
+only unpacks JSON points. Enumeration and the operations compute the heads of
 noncrossing diagrams directly and wrap them without re-checking.
 
 Everything here is immutable and safe to share across threads.
@@ -112,7 +112,7 @@ def _heads(blocks: Iterable[Iterable[Point]], upper: int, lower: int) -> tuple[i
             if pt.side not in _SIDES:
                 raise ValidationError(f"bad point side {pt.side!r}")
             bound = upper if pt.side == "u" else lower
-            if not 1 <= pt.index <= bound:
+            if type(pt.index) is not int or not 1 <= pt.index <= bound:
                 raise ValidationError(f"point {pt.token} out of range for NC({upper},{lower})")
             pos = pt.index - 1 if pt.side == "u" else total - pt.index
             if owner[pos] >= 0:
@@ -187,6 +187,9 @@ class Partition:
     heads: tuple[int, ...]
 
     def __init__(self, upper: int, lower: int, blocks: Iterable[Iterable[Point]]) -> None:
+        for name, size in (("upper", upper), ("lower", lower)):
+            if type(size) is not int:
+                raise ValidationError(f"'{name}' must be an integer, got {size!r}")
         if upper < 0 or lower < 0:
             raise ValidationError("row sizes must be nonnegative")
         heads = _heads(blocks, upper, lower)
@@ -219,17 +222,9 @@ class Partition:
             upper, lower, raw_blocks = data["upper"], data["lower"], data["blocks"]
         except KeyError as exc:
             raise ValidationError(f"partition payload missing fields: {exc}") from None
-        for name, size in (("upper", upper), ("lower", lower)):
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise ValidationError(f"'{name}' must be an integer, got {size!r}")
-        if not isinstance(raw_blocks, list):
+        if not isinstance(raw_blocks, list) or not all(isinstance(raw, list) for raw in raw_blocks):
             raise ValidationError("blocks must be a list of lists of point tokens")
-        blocks = []
-        for raw in raw_blocks:
-            if not isinstance(raw, list):
-                raise ValidationError("blocks must be a list of lists of point tokens")
-            blocks.append(tuple(parse_point(tok) for tok in raw))
-        return cls(upper, lower, blocks)
+        return cls(upper, lower, [tuple(map(parse_point, raw)) for raw in raw_blocks])
 
     def __str__(self) -> str:
         blocks = _grouped(self.heads, _tokens(self.upper, self.lower))

@@ -251,6 +251,14 @@ class TestOneTraceClassRule:
         assert got == oracle_coarsest_grouping(CHAINED)
 
 
+def _from_json(size):
+    return MultiMatrixAlgebra.from_dict({"blocks": [{"size": size, "q": [0.5, 0.5]}]})
+
+
+def _constructor(row):
+    return lambda size: MultiMatrixAlgebra((size,), (row,))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("alg", [C4_UNIFORM, M2_SKEW, MIXED])
     def test_round_trip(self, alg):
@@ -275,10 +283,24 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             MultiMatrixAlgebra.from_dict(payload)
 
-    @pytest.mark.parametrize("size", [2.7, 2.0, True, "2", None])
-    def test_size_must_be_a_json_integer(self, size):
+    @pytest.mark.parametrize(
+        "size,build",
+        [pytest.param(size, _from_json, id=str(size)) for size in (2.7, 2.0, True, "2", None)]
+        # the constructor applies the same rule: none of these is truncated
+        + [
+            pytest.param(2.9, _constructor((0.5, 0.5)), id="init-2.9"),
+            pytest.param("2", _constructor(("0.5", "0.5")), id="init-str"),
+            pytest.param(True, _constructor((1.0,)), id="init-True"),
+        ],
+    )
+    def test_size_must_be_a_json_integer(self, size, build):
         with pytest.raises(ValidationError, match="block size must be an integer"):
-            MultiMatrixAlgebra.from_dict({"blocks": [{"size": size, "q": [0.5, 0.5]}]})
+            build(size)
+
+    @pytest.mark.parametrize("q", [1.0, ("1",), (True,)])
+    def test_constructor_weights_must_be_a_list_of_numbers(self, q):
+        with pytest.raises(ValidationError, match="must be a (list of )?numbers?"):
+            MultiMatrixAlgebra((1,), (q,))
 
     @pytest.mark.parametrize(
         "q,named",

@@ -329,6 +329,10 @@ class TestWordRing:
         with pytest.raises(DomainError):
             WordRing(Z2, 3)
 
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            WordRing(Z2, 4.5)
+
 
 class TestAlternatingWord:
     def test_adjacent_same_factor_rejected(self):
@@ -338,6 +342,11 @@ class TestAlternatingWord:
     def test_trivial_label_rejected(self):
         with pytest.raises(ValidationError):
             AlternatingWord(((0, W(Z2)),))
+
+    @pytest.mark.parametrize("index", [1.9, "0"])
+    def test_factor_index_must_be_an_integer(self, index):
+        with pytest.raises(ValidationError, match="factor index must be an integer"):
+            AlternatingWord(((index, W(Z2, 1)),))
 
     def test_empty_is_fine(self):
         assert len(AlternatingWord(())) == 0

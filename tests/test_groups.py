@@ -65,6 +65,11 @@ class TestCyclicGroup:
         with pytest.raises(ValidationError):
             CyclicGroup(0)
 
+    @pytest.mark.parametrize("order", [2.5, True])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValidationError, match="order must be an integer"):
+            CyclicGroup(order)
+
     def test_order_one_generator_is_identity(self):
         g = CyclicGroup(1)
         assert g.parse_element("s") == 0
@@ -232,6 +237,10 @@ class TestTableGroup:
     def test_from_dict_requires_json_strings_and_lists(self, payload):
         with pytest.raises(ValidationError):
             TableGroup.from_dict(payload)
+
+    def test_constructor_names_must_be_strings(self):
+        with pytest.raises(ValidationError, match="names must be strings"):
+            TableGroup((0, 1), 0, ((0, 1), (1, 0)))
 
     def test_boolean_entries_rejected(self):
         # True == 1, so a table of booleans would otherwise pass every axiom

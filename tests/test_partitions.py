@@ -27,6 +27,11 @@ from ncwreath.partitions import (
     tensor,
 )
 
+def _from_fields(payload):
+    blocks = [[parse_point(token) for token in block] for block in payload["blocks"]]
+    return Partition(payload["upper"], payload["lower"], blocks)
+
+
 CATALAN_FROZEN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
@@ -111,6 +116,8 @@ class TestNoncrossingPredicate:
             [[Point("u", 1), Point("u", 1)], [Point("u", 2), Point("l", 1)]],
             [[Point("u", 1), Point("u", 3)], [Point("u", 2), Point("l", 1)]],
             [[Point("x", 1), Point("u", 2)], [Point("u", 1), Point("l", 1)]],
+            [[Point("u", 1.0), Point("u", 2)], [Point("l", 1)]],  # indices are ints
+            [[Point("u", True), Point("u", 2)], [Point("l", 1)]],
         ],
     )
     def test_malformed_rejected(self, blocks):
@@ -145,11 +152,16 @@ class TestPartitionType:
 
 
     @pytest.mark.parametrize("field", ["upper", "lower"])
-    @pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
-    def test_from_dict_sizes_must_be_json_integers(self, field, size):
+    @pytest.mark.parametrize(
+        "size,build",
+        [pytest.param(size, Partition.from_dict, id=str(size)) for size in (1.9, 1.0, True, "1", None)]
+        # the constructor applies the same rule
+        + [pytest.param(size, _from_fields, id=f"init-{size}") for size in (True, 1.0)],
+    )
+    def test_from_dict_sizes_must_be_json_integers(self, field, size, build):
         payload = {"upper": 1, "lower": 1, "blocks": [["u1", "l1"]], field: size}
         with pytest.raises(ValidationError, match=f"'{field}' must be an integer"):
-            Partition.from_dict(payload)
+            build(payload)
 
     def test_hash_survives_round_trip(self):
         for p in enumerate_partitions(3, 3):
