@@ -123,16 +123,14 @@ class DecoratedPartition:
     def from_dict(cls, group: Group, data: Any) -> "DecoratedPartition":
         if not isinstance(data, dict):
             raise ValidationError("decorated partition payload must be an object")
-        try:
-            upper_names = list(data["upper_labels"])
-            lower_names = list(data["lower_labels"])
-        except (KeyError, TypeError):
+        rows = data.get("upper_labels"), data.get("lower_labels")
+        if not all(isinstance(r, list) and all(isinstance(x, str) for x in r) for r in rows):
             raise ValidationError(
                 "decorated partition payload needs 'upper_labels' and 'lower_labels'"
-            ) from None
+                " as lists of strings"
+            )
         partition = Partition.from_dict(data)
-        upper = tuple(group.parse_element(str(x)) for x in upper_names)
-        lower = tuple(group.parse_element(str(x)) for x in lower_names)
+        upper, lower = (tuple(map(group.parse_element, r)) for r in rows)
         return cls(group, partition, upper, lower)
 
 

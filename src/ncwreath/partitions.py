@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -266,14 +267,19 @@ def check_point_bound(upper: int, lower: int, max_points: int) -> None:
     """Raise :class:`BoundError`, stating the predicted diagram count
     ``catalan(upper + lower)``, when ``upper + lower`` exceeds ``max_points``."""
     m = upper + lower
-    if m <= max_points:
-        return
+    if m > max_points:
+        raise BoundError(
+            f"{m} points ({_count_text(m)} diagrams) exceeds the configured bound of {max_points}"
+        )
+
+
+def _count_text(m: int) -> str:
+    """``catalan(m)`` for a message: exact up to 40 points, else its order of
+    magnitude (the exact count would be a wall of digits, and slow to form)."""
     if m <= 40:
-        count = f"{catalan(m):,}"
-    else:  # the exact count would be a wall of digits (and slow to form)
-        log10 = (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(10)
-        count = f"about 10^{int(log10)}"
-    raise BoundError(f"{m} points ({count} diagrams) exceeds the configured bound of {max_points}")
+        return f"{catalan(m):,}"
+    log10 = (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(10)
+    return f"about 10^{int(log10)}"
 
 
 def _noncrossing_heads(total: int) -> Iterator[tuple[int, ...]]:
@@ -321,12 +327,20 @@ def enumerate_partitions(
     """Every element of ``NC(upper, lower)`` in a fixed canonical order.
 
     The count is the Catalan number of ``upper + lower``. Raises
-    :class:`BoundError` when the point total exceeds ``max_points``.
+    :class:`BoundError` when the point total exceeds ``max_points``, or when
+    the count exceeds ``sys.maxsize``, the most items a list can hold.
     """
     if upper < 0 or lower < 0:
         raise ValidationError("row sizes must be nonnegative")
     check_point_bound(upper, lower, max_points)
-    return [_trusted(upper, lower, heads) for heads in _noncrossing_heads(upper + lower)]
+    m = upper + lower
+    # catalan(m) >= 2^(m-1): past the bit length of sys.maxsize it is too large
+    if m > sys.maxsize.bit_length() or catalan(m) > sys.maxsize:
+        raise BoundError(
+            f"{m} points ({_count_text(m)} diagrams) exceed the {sys.maxsize:,} items"
+            " a list can hold"
+        )
+    return [_trusted(upper, lower, heads) for heads in _noncrossing_heads(m)]
 
 
 def identity_partition(k: int) -> Partition:

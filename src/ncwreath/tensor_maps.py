@@ -43,7 +43,6 @@ from .partitions import DEFAULT_MAX_POINTS, Partition, catalan, check_point_boun
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
-    "GRAM_RANK_THRESHOLD",
     "TensorMap",
     "build_map",
     "map_matrix",
@@ -63,9 +62,6 @@ _CACHED_TABLE_ENTRIES = 1 << 16
 
 #: Largest flat offset an int64 holds.
 _MAX_OFFSET = np.iinfo(np.int64).max
-
-#: Relative singular-value cutoff used by :func:`gram_rank`.
-GRAM_RANK_THRESHOLD = 1e-7
 
 
 @functools.lru_cache(maxsize=256)
@@ -259,8 +255,8 @@ def verify_composition(
 
 def gram_rank(maps: Sequence[TensorMap]) -> int:
     """Rank of the span of the given maps, via the Gram matrix of pairwise
-    trace inner products; singular values below :data:`GRAM_RANK_THRESHOLD`
-    times the largest are treated as zero.
+    trace inner products, ranked by numpy's rule: eigenvalues up to the
+    largest times the Gram's size times machine epsilon count as zero.
 
     Only the union of the maps' supports enters the Gram: the maps are
     stacked as rows over those offsets alone, so the stack is bounded by the
@@ -276,11 +272,7 @@ def gram_rank(maps: Sequence[TensorMap]) -> int:
     rows = np.repeat(np.arange(len(maps)), [len(t.flat) for t in maps])
     stacked = np.zeros((len(maps), len(support)))
     stacked[rows, columns] = np.concatenate([t.values for t in maps])
-    gram = stacked @ stacked.T
-    singular = np.linalg.svd(gram, compute_uv=False)
-    if singular[0] <= 0.0:
-        return 0
-    return int(np.sum(singular > GRAM_RANK_THRESHOLD * singular[0]))
+    return int(np.linalg.matrix_rank(stacked @ stacked.T, hermitian=True))
 
 
 def hom_dimension(

@@ -17,7 +17,6 @@ from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
 from ncwreath.errors import DomainError
 from ncwreath.fusion import AlternatingWord, Word, involution
 from ncwreath.partitions import Partition, Point, parse_point
-from ncwreath.tensor_maps import GRAM_RANK_THRESHOLD
 
 
 def make_partition(upper: int, lower: int, *blocks: str) -> Partition:
@@ -488,13 +487,12 @@ def _build_map_by_definition(algebra: MultiMatrixAlgebra, p: Partition) -> np.nd
 
 
 def gram_rank_dense(maps) -> int:
-    """Rank of the maps' span from the Gram of their full dense matrices,
-    stacked one flattened matrix per row, cut at the library's threshold."""
+    """Rank of the maps' span from their full dense matrices, stacked one
+    flattened matrix per row and ranked by SVD with no Gram, so no condition
+    number is squared. Columns that are zero in every map are dropped first:
+    they add nothing to the rank, only to the SVD's time."""
     stacked = np.stack([t.matrix.reshape(-1) for t in maps])
-    singular = np.linalg.svd(stacked @ stacked.T, compute_uv=False)
-    if singular[0] <= 0.0:
-        return 0
-    return int(np.sum(singular > GRAM_RANK_THRESHOLD * singular[0]))
+    return int(np.linalg.matrix_rank(stacked[:, stacked.any(axis=0)]))
 
 
 def symmetric_group_dict(n: int) -> dict:

@@ -292,26 +292,28 @@ def test_criterion_05_multiplication_map():
 
 def test_criterion_06_linear_independence():
     problems = []
-    for k in range(7):
-        for l in range(7 - k):
+    shapes = [(k, points - k) for points in range(8) for k in range(points + 1)]
+    for algebra in (C4_UNIFORM, M2_HALF):
+        # delta = 4 is the edge of the generic range: the Gram's conditioning
+        # worsens about 75x per point, so the 8-point families are the hardest
+        # case. Maps are built, not cached: 7 and 8 points would stay in
+        # memory for the whole test run.
+        for k, l in shapes + ([(0, 8), (4, 4)] if algebra is M2_HALF else []):
             expected = catalan(k + l)
-            for algebra in (C4_UNIFORM, M2_HALF):
-                maps = [cached_map(algebra, p) for p in enumerate_partitions(k, l)]
-                rank = gram_rank(maps)
-                if rank != expected:
-                    problems.append(
-                        f"rank {rank} != {expected} on NC({k},{l}), dim {algebra.dim}"
-                    )
+            rank = gram_rank([build_map(algebra, p) for p in enumerate_partitions(k, l)])
+            if rank != expected:
+                problems.append(f"rank {rank} != {expected} on NC({k},{l}), dim {algebra.dim}")
     small_maps = [build_map(C2_UNIFORM, p) for p in enumerate_partitions(0, 4)]
     small_rank = gram_rank(small_maps)
-    if small_rank >= 14:
-        problems.append(f"two-dimensional algebra rank {small_rank} not deficient")
+    if small_rank != 8:
+        problems.append(f"two-dimensional algebra rank {small_rank} on NC(0,4), not 8")
     report(
         6,
         not problems,
         problems[0]
         if problems
-        else f"full rank on all NC(k,l), k+l ≤ 6, both algebras; dim-2 rank {small_rank} < 14",
+        else "full rank on all NC(k,l), k+l ≤ 7, both algebras, and on NC(0,8) and"
+        f" NC(4,4) over M2; dim-2 rank {small_rank} = 8",
     )
 
 

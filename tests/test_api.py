@@ -28,7 +28,7 @@ MODULES = [
 REMOVED_NAMES = {
     "ncwreath": ["delta_coefficient", "multi_index"],
     "ncwreath.tensor_maps": ["delta_coefficient", "multi_index", "_mul_chain", "_psi",
-                             "_star", "_product", "_ONE", "_ZERO"],
+                             "_star", "_product", "_ONE", "_ZERO", "GRAM_RANK_THRESHOLD"],
     "ncwreath.fusion": ["concat", "fuse_words"],
     "ncwreath.groups": ["_ASSOCIATIVITY_FULL_CHECK_MAX", "_ASSOCIATIVITY_SAMPLES", "random"],
 }

@@ -125,6 +125,14 @@ class TestPartitionsCommands:
         assert code == 3
         assert err.startswith("bound error: 1000000 points (about 10^602050 diagrams)")
 
+    def test_enumerate_past_what_a_list_holds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "partitions", "enumerate", "--upper", "1000", "--lower", "0",
+            "--max-points", "2000",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("bound error: 1000 points (about 10^597 diagrams) exceed")
+
     def test_enumerate_raised_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "partitions", "enumerate", "--upper", "9", "--lower", "9",
@@ -347,6 +355,22 @@ class TestTmapCommands:
         payload = json.loads(out)
         assert payload == {"upper": 0, "lower": 4, "count": 14, "rank": 8}
 
+    @pytest.mark.parametrize(
+        "shape,expected",
+        [
+            (["--upper", "0", "--lower", "7"], 429),
+            (["--upper", "3", "--lower", "4"], 429),
+            (["--upper", "4", "--lower", "4", "--max-entries", "100000000"], 1430),
+        ],
+    )
+    def test_gram_rank_full_at_seven_and_eight_points(self, capsys, write_json, shape, expected):
+        # delta = 4 is the edge of the generic range: the Gram's smallest
+        # eigenvalue is 1.3e-8 of the largest at 7 points, 1.7e-10 at 8
+        alg = write_json("alg.json", M2_UNIFORM)
+        code, out, _ = run_cli(capsys, "tmap", "gram-rank", "--algebra", alg, *shape)
+        assert code == 0
+        assert out.splitlines()[-1] == f"rank: {expected}"
+
     def test_gram_rank_stack_bound(self, capsys, write_json):
         # each 4^10-entry map passes the per-map bound; their stack does not
         alg = write_json("alg.json", M2_UNIFORM)
@@ -469,6 +493,14 @@ class TestDecoratedCommands:
             "--x", "e,e,e,e", "--y", "e,e,e,e",
         )
         assert (code, out) == (0, "1430\n")
+
+    def test_count_past_what_a_list_holds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decorated", "count", "--group", "cyclic:2", "--x", ",".join(["e"] * 600),
+            "--y", "", "--max-points", "2000",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("bound error: 600 points")
 
     def test_count_empty_lower(self, capsys):
         code, out, _ = run_cli(

@@ -301,6 +301,21 @@ class TestDecoratedPartitionType:
                 Z2, {"upper": 0, "lower": 1, "blocks": [["l1"]]}
             )
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"upper": 2, "lower": 0, "blocks": [["u1", "u2"]],
+             "upper_labels": "ss", "lower_labels": []},
+            {"upper": 0, "lower": 2, "blocks": [["l1", "l2"]],
+             "upper_labels": [], "lower_labels": [1, 1]},
+        ],
+        ids=["string-row", "number-labels"],
+    )
+    def test_from_dict_labels_must_be_json_lists_of_strings(self, payload):
+        # both used to be read as the admissible labels (s, s) of cyclic:2
+        with pytest.raises(ValidationError, match="lists of strings"):
+            DecoratedPartition.from_dict(Z2, payload)
+
     def test_from_dict_validates_admissibility(self):
         with pytest.raises(ValidationError):
             DecoratedPartition.from_dict(

@@ -87,6 +87,12 @@ class TestEnumeration:
         with pytest.raises(BoundError):
             enumerate_partitions(2, 3, max_points=4)
 
+    @pytest.mark.parametrize("upper,lower", [(36, 0), (18, 18), (0, 64), (1000, 0)])
+    def test_list_size_bound(self, upper, lower):
+        # catalan(35) = 3.1e18 fits under sys.maxsize = 9.2e18, catalan(36) does not
+        with pytest.raises(BoundError, match="items a list can hold$"):
+            enumerate_partitions(upper, lower, max_points=2000)
+
     def test_negative_rows_rejected(self):
         with pytest.raises(ValidationError):
             enumerate_partitions(-1, 2)
