@@ -32,7 +32,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from typing import Any, Iterable, Optional, Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOLERANCE, MultiMatrixAlgebra
 from .decorated import DecoratedPartition, decorated_hom_dimension, enumerate_decorated
-from .errors import BoundError, NcwreathError, ValidationError
+from .errors import BoundError, NcwreathError, ValidationError, _check_cost
 from .fusion import (
     AlternatingWord,
     Word,
@@ -66,7 +65,6 @@ from .tensor_maps import (
     build_map,
     gram_rank,
     hom_dimension,
-    map_matrix,
     verify_composition,
 )
 
@@ -180,14 +178,6 @@ def _to_json(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _amount(x: int) -> str:
-    """``x`` with its digits grouped, or its order of magnitude past 40
-    digits, where the exact value would be a wall of digits."""
-    if x < 10**40:
-        return f"{x:,}"
-    return f"about 10^{int(x.bit_length() * math.log10(2))}"
-
-
 def _combination(combination, text_fn) -> Result:
     """A fusion result sorted once: JSON terms and ``word: mult`` text lines."""
     terms = sorted_combination(combination)
@@ -241,7 +231,7 @@ def _cmd_partitions_tensor(args: argparse.Namespace) -> Result:
 def _cmd_tmap_build(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     p = _load_partition(args.partition)
-    matrix = map_matrix(algebra, p, max_entries=args.max_entries)
+    matrix = build_map(algebra, p, max_entries=args.max_entries).dense(args.max_entries)
     rows, cols = matrix.shape
     payload = {
         "algebra": algebra,
@@ -288,13 +278,9 @@ def _cmd_tmap_gram_rank(args: argparse.Namespace) -> Result:
     # The Gram matrix needs every map at once: bound the whole stack before
     # enumerating or building anything.
     count = hom_dimension(args.upper, args.lower, max_points=args.max_points)
-    n, points = algebra.dim, args.upper + args.lower
-    total = count * n**points
-    if total > args.max_entries:
-        raise BoundError(
-            f"{_amount(count)} maps × {n}^{points} entries = {_amount(total)} entries"
-            f" exceeds the configured bound of {_amount(args.max_entries)}"
-        )
+    name = f"Gram stack of NC({args.upper}, {args.lower}) maps"
+    entries = algebra.dim ** (args.upper + args.lower)
+    _check_cost(name, count, entries, "entries", args.max_entries)
     parts = enumerate_partitions(args.upper, args.lower, max_points=args.max_points)
     rank = gram_rank([build_map(algebra, p, max_entries=args.max_entries) for p in parts])
     payload = {"upper": args.upper, "lower": args.lower, "count": len(parts), "rank": rank}

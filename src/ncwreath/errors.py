@@ -6,6 +6,8 @@ so callers (including the CLI) can distinguish our failures from genuine bugs.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "NcwreathError",
     "ValidationError",
@@ -37,3 +39,24 @@ class DomainError(NcwreathError, ValueError):
 
 class BoundError(NcwreathError):
     """A configured resource bound (point count, matrix size) would be exceeded."""
+
+
+def _amount(x: int) -> str:
+    """``x`` with its digits grouped, or its order of magnitude past 40
+    digits, where the exact value would be a wall of digits."""
+    return f"{x:,}" if x < 10**40 else f"about 10^{int(math.log10(x))}"
+
+
+def _check_cost(name: str, count: int, size: int, unit: str, bound: int) -> None:
+    """The one resource check: raise :class:`BoundError` when ``count`` items
+    of ``size`` ``unit`` each, as an operation predicts them from its input's
+    shape, exceed ``bound`` ``unit``. Only then is the message formed:
+    ``<name>: <count> × <size> <unit> = <total> <unit>, over the bound of
+    <bound> <unit>``, or ``<name>: <count> <unit>, ...`` when ``size`` is 1.
+    """
+    total = count * size
+    if total > bound:
+        predicted = f"{_amount(count)} {unit}" if size == 1 else (
+            f"{_amount(count)} × {_amount(size)} {unit} = {_amount(total)} {unit}"
+        )
+        raise BoundError(f"{name}: {predicted}, over the bound of {_amount(bound)} {unit}")

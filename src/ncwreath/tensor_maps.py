@@ -17,9 +17,12 @@ table: the basis positions of every chain's legs and its coefficient.
 :func:`build_map` turns each block's chains into flat matrix offsets and
 takes the Cartesian product over the blocks (offsets added, coefficients
 multiplied). A :class:`TensorMap` keeps only those non-zeros, in arrays it
-owns; :meth:`TensorMap.dense` scatters them into a fresh dense matrix under
-a bound on its entries, and :func:`map_matrix` checks that bound before it
-builds anything.
+owns; :meth:`TensorMap.dense` scatters them into a fresh dense matrix.
+
+Every size is predicted from the block shapes and passes the one cost check
+of :mod:`ncwreath.errors` before anything of that size is allocated: a map's
+non-zeros, its largest chain table and its int64 offsets in :func:`build_map`,
+its dense entries in :meth:`TensorMap.dense`.
 
 The headline identities, checked numerically by the test suite:
 
@@ -38,14 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra
-from .errors import BoundError, DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_cost
 from .partitions import DEFAULT_MAX_POINTS, Partition, catalan, check_point_bound, compose
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "TensorMap",
     "build_map",
-    "map_matrix",
     "verify_composition",
     "gram_rank",
     "hom_dimension",
@@ -59,9 +61,6 @@ DEFAULT_MAX_ENTRIES = 1 << 24
 #: the dense bound over a two-by-two block needs at most 12 * 2**12; larger
 #: tables are rebuilt on each use rather than held for the process's life.
 _CACHED_TABLE_ENTRIES = 1 << 16
-
-#: Largest flat offset an int64 holds.
-_MAX_OFFSET = np.iinfo(np.int64).max
 
 
 @functools.lru_cache(maxsize=256)
@@ -131,18 +130,10 @@ class TensorMap:
         Raises :class:`BoundError` when it would hold more than
         ``max_entries`` entries.
         """
-        _check_dense(self.algebra, self.partition, max_entries)
-        out = np.zeros(self.shape[0] * self.shape[1])
-        out[self.flat] = self.values
-        return out.reshape(self.shape)
-
-
-def _check_dense(algebra: MultiMatrixAlgebra, p: Partition, max_entries: int) -> None:
-    n, points = algebra.dim, p.upper + p.lower
-    if n**points > max_entries:
-        raise BoundError(
-            f"map matrix would hold {n}^{points} entries, over the bound {max_entries}"
-        )
+        _check_cost("dense matrix", *self.shape, "entries", max_entries)
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.flat] = self.values
+        return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -171,10 +162,8 @@ def build_map(
     """
     n = algebra.dim
     k, l = p.upper, p.lower
-    if n ** (k + l) - 1 > _MAX_OFFSET:
-        raise BoundError(
-            f"map matrix of {n}^{k + l} entries: flat offsets overflow int64"
-        )
+    shape = (n**l, n**k)
+    _check_cost("int64 offsets of the matrix", *shape, "entries", 1 << 63)
     # Flat index strides: lower leg j (bent-line position k + l - j) is digit
     # j - 1 from the left, upper leg i (position i - 1) digit l + i - 1. Each
     # block, in canonical order, lists its lower legs, then its upper legs.
@@ -192,15 +181,12 @@ def build_map(
         legs = len(downs) + len(ups)
         chains = _chain_count(algebra.block_sizes, legs)
         count *= chains
-        tables.append(legs * chains)
-    if count > max_entries:
-        raise BoundError(f"map would hold {count} non-zeros, over the bound {max_entries}")
-    if tables and max(tables) > max_entries:
-        raise BoundError(
-            f"a chain table would hold {max(tables)} entries, over the bound {max_entries}"
-        )
+        tables.append((legs * chains, chains, legs))
+    _check_cost("non-zeros of the map", count, 1, "entries", max_entries)
+    _, chains, legs = max(tables, default=(0, 0, 0))
+    _check_cost("largest chain table", chains, legs, "entries", max_entries)
     parts = []
-    for (downs, ups), size in zip(strides.values(), tables):
+    for (downs, ups), (size, _, _) in zip(strides.values(), tables):
         table = _block_entries if size <= _CACHED_TABLE_ENTRIES else _block_entries.__wrapped__
         legs, coefs = table(algebra, len(ups), len(downs))
         parts.append((np.array(downs + ups).dot(legs), coefs))
@@ -212,26 +198,7 @@ def build_map(
     for offsets, coefs in parts[1:]:
         flat = (offsets[:, None] + flat).ravel()
         values = (coefs[:, None] * values).ravel()
-    return TensorMap(algebra, p, (n**l, n**k), flat, values)
-
-
-def map_matrix(
-    algebra: MultiMatrixAlgebra,
-    p: Partition,
-    *,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> np.ndarray:
-    """The dense matrix of ``p``'s map.
-
-    Raises :class:`BoundError` when it would hold more than ``max_entries``
-    entries, before anything is built. Within that bound the map's non-zeros
-    and chain tables fit too, except that over a one-dimensional algebra a
-    table of ``legs`` entries may pass a tiny bound; so the build runs under
-    at least the default bound.
-    """
-    _check_dense(algebra, p, max_entries)
-    built = build_map(algebra, p, max_entries=max(max_entries, DEFAULT_MAX_ENTRIES))
-    return built.dense(max_entries)
+    return TensorMap(algebra, p, shape, flat, values)
 
 
 def verify_composition(
@@ -248,7 +215,9 @@ def verify_composition(
     if delta is None:
         raise DomainError("composition rescaling needs a delta-form state")
     qp, _, cycles = compose(p, q)
-    m_p, m_q, m_qp = (map_matrix(algebra, x, max_entries=max_entries) for x in (p, q, qp))
+    m_p, m_q, m_qp = (
+        build_map(algebra, x, max_entries=max_entries).dense(max_entries) for x in (p, q, qp)
+    )
     product = (delta ** float(-cycles)) * (m_q @ m_p)
     return float(np.max(np.abs(m_qp - product)))
 

@@ -113,8 +113,8 @@ class TestPartitionsCommands:
         )
         assert code == 3
         assert err == (
-            "bound error: 18 points (477,638,700 diagrams) exceeds the configured"
-            " bound of 16\n"
+            "bound error: NC(9, 9) of 477,638,700 diagrams: 18 points, over the bound"
+            " of 16 points\n"
         )
 
     def test_bound_error_for_huge_request(self, capsys):
@@ -123,7 +123,9 @@ class TestPartitionsCommands:
             "--count-only",
         )
         assert code == 3
-        assert err.startswith("bound error: 1000000 points (about 10^602050 diagrams)")
+        assert err.startswith(
+            "bound error: NC(1000000, 0) of about 10^602050 diagrams: 1,000,000 points"
+        )
 
     def test_enumerate_past_what_a_list_holds(self, capsys):
         code, out, err = run_cli(
@@ -131,7 +133,10 @@ class TestPartitionsCommands:
             "--max-points", "2000",
         )
         assert (code, out) == (3, "")
-        assert err.startswith("bound error: 1000 points (about 10^597 diagrams) exceed")
+        assert err.startswith(
+            "bound error: list of NC(1000, 0) diagrams: about 10^597 × 8,104 bytes"
+            " = about 10^601 bytes, over the bound of "
+        )
 
     def test_enumerate_raised_bound(self, capsys):
         code, out, _ = run_cli(
@@ -381,8 +386,8 @@ class TestTmapCommands:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == (
-            "bound error: 16,796 maps × 4^10 entries = 17,611,882,496 entries"
-            " exceeds the configured bound of 16,777,216\n"
+            "bound error: Gram stack of NC(5, 5) maps: 16,796 × 1,048,576 entries"
+            " = 17,611,882,496 entries, over the bound of 16,777,216 entries\n"
         )
 
     def test_gram_rank_stack_bound_is_the_total(self, capsys, write_json):
@@ -396,7 +401,7 @@ class TestTmapCommands:
             capsys, "tmap", "gram-rank", "--algebra", alg, *shape, "--max-entries", "3583"
         )
         assert code == 3
-        assert "14 maps × 4^4 entries = 3,584 entries" in err
+        assert "14 × 256 entries = 3,584 entries, over the bound of 3,583 entries" in err
 
     def test_gram_rank_huge_stack_states_magnitudes(self, capsys, write_json):
         alg = write_json("alg.json", M2_UNIFORM)
@@ -405,7 +410,10 @@ class TestTmapCommands:
             "--lower", "2000", "--max-points", "4000",
         )
         assert code == 3
-        assert err.startswith("bound error: about 10^2402 maps × 4^4000 entries")
+        assert err.startswith(
+            "bound error: Gram stack of NC(2000, 2000) maps: about 10^2402 × about 10^2408"
+            " entries = about 10^4810 entries"
+        )
 
 
 class TestAlgebraCommands:
@@ -500,7 +508,7 @@ class TestDecoratedCommands:
             "--y", "", "--max-points", "2000",
         )
         assert (code, out) == (3, "")
-        assert err.startswith("bound error: 600 points")
+        assert err.startswith("bound error: list of NC(600, 0) diagrams: about 10^")
 
     def test_count_empty_lower(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from helpers import (
     make_partition,
     tensor_by_points,
 )
+from ncwreath import partitions
 from ncwreath.errors import BoundError, ShapeError, ValidationError
 from ncwreath.partitions import (
     Partition,
@@ -80,18 +82,30 @@ class TestEnumeration:
     def test_point_bound(self):
         with pytest.raises(BoundError):
             enumerate_partitions(9, 8)
-        with pytest.raises(BoundError, match=r"^18 points \(477,638,700 diagrams\) exceeds"
-                           r" the configured bound of 16$"):
+        with pytest.raises(BoundError, match=r"^NC\(9, 9\) of 477,638,700 diagrams: 18 points,"
+                           r" over the bound of 16 points$"):
             enumerate_partitions(9, 9)
         assert len(enumerate_partitions(2, 2, max_points=4)) == 14
         with pytest.raises(BoundError):
             enumerate_partitions(2, 3, max_points=4)
 
-    @pytest.mark.parametrize("upper,lower", [(36, 0), (18, 18), (0, 64), (1000, 0)])
+    @pytest.mark.parametrize("upper,lower", [(35, 0), (36, 0), (18, 18), (0, 64), (1000, 0)])
     def test_list_size_bound(self, upper, lower):
-        # catalan(35) = 3.1e18 fits under sys.maxsize = 9.2e18, catalan(36) does not
-        with pytest.raises(BoundError, match="items a list can hold$"):
+        # the list's bytes are bounded by physical memory: catalan(35) = 3.1e18
+        # diagrams fit under sys.maxsize = 9.2e18, the most items a list holds,
+        # but at 384 bytes each not in any memory
+        with pytest.raises(BoundError, match=r" bytes, over the bound of [\d,]+ bytes$"):
             enumerate_partitions(upper, lower, max_points=2000)
+
+    def test_list_size_bound_where_memory_is_not_reported(self, monkeypatch):
+        # the bound falls back to sys.maxsize bytes, past what a process can
+        # address; NC(35, 0), whose count fits under sys.maxsize, is refused
+        monkeypatch.setattr(partitions, "_MEMORY", sys.maxsize)
+        with pytest.raises(BoundError, match=r"^list of NC\(35, 0\) diagrams: 3,116,285,494,907,"
+                           r"301,262 × [\d,]+ bytes = [\d,]+ bytes,"
+                           rf" over the bound of {sys.maxsize:,} bytes$"):
+            enumerate_partitions(35, 0, max_points=2000)
+        assert len(enumerate_partitions(3, 3)) == 132
 
     def test_negative_rows_rejected(self):
         with pytest.raises(ValidationError):

@@ -24,7 +24,6 @@ from ncwreath.tensor_maps import (
     build_map,
     gram_rank,
     hom_dimension,
-    map_matrix,
     verify_composition,
 )
 
@@ -161,7 +160,8 @@ class TestBuildMap:
 
     def test_entry_bound_enforced(self):
         # the bound counts non-zeros: three strands over C^4 hold 4^3 of them
-        with pytest.raises(BoundError, match="64 non-zeros"):
+        match = "non-zeros of the map: 64 entries, over the bound of 63 entries"
+        with pytest.raises(BoundError, match=match):
             build_map(C4_UNIFORM, identity_partition(3), max_entries=63)
         assert len(build_map(C4_UNIFORM, identity_partition(3), max_entries=64).flat) == 64
 
@@ -301,7 +301,7 @@ class TestNonZeroBounds:
 
     @pytest.mark.parametrize("points", [32, 40])
     def test_offsets_past_int64_refused(self, points):
-        with pytest.raises(BoundError, match="overflow int64"):
+        with pytest.raises(BoundError, match="int64 offsets of the matrix"):
             build_map(C4_UNIFORM, one_block(points))
 
     def test_non_zero_bound_raises_before_allocating(self):
@@ -310,7 +310,7 @@ class TestNonZeroBounds:
         build_map(C4_UNIFORM, P(1, 0, "u1"))  # fill the chain-table cache
         tracemalloc.start()
         try:
-            with pytest.raises(BoundError, match=f"{4**12} non-zeros"):
+            with pytest.raises(BoundError, match=f"non-zeros of the map: {4**12:,} entries"):
                 build_map(C4_UNIFORM, singletons, max_entries=4**12 - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -318,8 +318,11 @@ class TestNonZeroBounds:
         assert peak < 1 << 16
 
     @pytest.mark.parametrize("points,match", [
-        (26, f"{2**26} non-zeros"),  # one block over M2: 2^26 chains
-        (24, f"chain table would hold {24 * 2**24} entries"),  # 2^24 chains of 24 legs
+        # one block over M2: 2^26 chains
+        pytest.param(26, f"non-zeros of the map: {2**26:,} entries", id=f"26-{2**26} non-zeros"),
+        # 2^24 chains of 24 legs
+        pytest.param(24, f"largest chain table: {2**24:,} × 24 entries = {24 * 2**24:,} entries",
+                     id=f"24-chain table would hold {24 * 2**24} entries"),
     ])
     def test_block_shapes_bound_before_any_table(self, points, match):
         _block_entries.cache_clear()  # nothing of this shape may be cached
@@ -349,32 +352,24 @@ class TestNonZeroBounds:
         t = build_map(C4_UNIFORM, one_block(14))
         tracemalloc.start()
         try:
-            with pytest.raises(BoundError, match=r"4\^14 entries"):
+            with pytest.raises(BoundError, match="dense matrix: 268,435,456 entries"):
                 t.matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
         small = build_map(M2_HALF, M_DIAGRAM)
-        with pytest.raises(BoundError, match=r"4\^3 entries, over the bound 63"):
+        with pytest.raises(BoundError, match="4 × 16 entries = 64 entries, over the bound of 63"):
             small.dense(63)
         assert np.array_equal(small.dense(64), small.matrix)
-
-    def test_map_matrix_checks_the_dense_size_first(self):
-        # past int64 and past the non-zero bound, the dense size is named
-        for p in (one_block(40), identity_partition(3)):
-            n = C4_UNIFORM.dim
-            with pytest.raises(BoundError, match=rf"map matrix would hold {n}\^"):
-                map_matrix(C4_UNIFORM, p, max_entries=63)
-        assert np.array_equal(map_matrix(M2_HALF, M_DIAGRAM), build_map(M2_HALF, M_DIAGRAM).matrix)
 
     def test_map_matrix_over_a_one_dimensional_algebra(self):
         # its map is one entry at any size, though each table has 12 entries
         scalar = MultiMatrixAlgebra((1,), ((1.0,),))
         p = one_block(12, 6)
-        with pytest.raises(BoundError, match="chain table would hold 12 entries"):
-            build_map(scalar, p, max_entries=1)
-        got = map_matrix(scalar, p, max_entries=1)
+        with pytest.raises(BoundError, match="largest chain table: 1 × 12 entries = 12 entries"):
+            build_map(scalar, p, max_entries=11)
+        got = build_map(scalar, p, max_entries=12).dense(1)
         assert got.shape == (1, 1)
         (one,) = scalar.basis_indices()
         assert got[0, 0] == pytest.approx(delta_coefficient(scalar, p, (one,) * 6, (one,) * 6))
