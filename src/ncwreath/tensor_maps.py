@@ -130,10 +130,11 @@ class TensorMap:
         Raises :class:`BoundError` when it would hold more than
         ``max_entries`` entries.
         """
-        _check_cost("dense matrix", *self.shape, "entries", max_entries)
-        out = np.zeros(self.shape)
-        out.reshape(-1)[self.flat] = self.values
-        return out
+        rows, cols = self.shape
+        _check_cost("dense matrix", rows, cols, "entries", max_entries)
+        out = np.zeros(rows * cols)
+        out[self.flat] = self.values
+        return out.reshape(rows, cols)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -162,8 +163,8 @@ def build_map(
     """
     n = algebra.dim
     k, l = p.upper, p.lower
-    shape = (n**l, n**k)
-    _check_cost("int64 offsets of the matrix", *shape, "entries", 1 << 63)
+    rows, cols = n**l, n**k
+    _check_cost("int64 offsets of the matrix", rows, cols, "entries", 1 << 63)
     # Flat index strides: lower leg j (bent-line position k + l - j) is digit
     # j - 1 from the left, upper leg i (position i - 1) digit l + i - 1. Each
     # block, in canonical order, lists its lower legs, then its upper legs.
@@ -198,7 +199,7 @@ def build_map(
     for offsets, coefs in parts[1:]:
         flat = (offsets[:, None] + flat).ravel()
         values = (coefs[:, None] * values).ravel()
-    return TensorMap(algebra, p, shape, flat, values)
+    return TensorMap(algebra, p, (rows, cols), flat, values)
 
 
 def verify_composition(
