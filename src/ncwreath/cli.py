@@ -65,6 +65,7 @@ from .tensor_maps import (
     build_map,
     gram_rank,
     hom_dimension,
+    map_matrix,
     verify_composition,
 )
 
@@ -231,7 +232,7 @@ def _cmd_partitions_tensor(args: argparse.Namespace) -> Result:
 def _cmd_tmap_build(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
     p = _load_partition(args.partition)
-    matrix = build_map(algebra, p, max_entries=args.max_entries).dense(args.max_entries)
+    matrix = map_matrix(algebra, p, max_entries=args.max_entries)
     rows, cols = matrix.shape
     payload = {
         "algebra": algebra,

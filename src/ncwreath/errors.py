@@ -41,22 +41,24 @@ class BoundError(NcwreathError):
     """A configured resource bound (point count, matrix size) would be exceeded."""
 
 
-def _amount(x: int) -> str:
+def _number(x: int | float) -> str:
     """``x`` with its digits grouped, or its order of magnitude past 40
-    digits, where the exact value would be a wall of digits."""
-    return f"{x:,}" if x < 10**40 else f"about 10^{int(math.log10(x))}"
+    digits. A float ``x`` is the log10 of a count too large to form."""
+    if isinstance(x, int) and x < 10**40:
+        return f"{x:,}"
+    return f"about 10^{int(x if isinstance(x, float) else math.log10(x))}"
 
 
-def _check_cost(name: str, count: int, size: int, unit: str, bound: int) -> None:
+def _check_cost(name: str, count: int | float, size: int, unit: str, bound: int) -> None:
     """The one resource check: raise :class:`BoundError` when ``count`` items
-    of ``size`` ``unit`` each, as an operation predicts them from its input's
-    shape, exceed ``bound`` ``unit``. Only then is the message formed:
-    ``<name>: <count> × <size> <unit> = <total> <unit>, over the bound of
-    <bound> <unit>``, or ``<name>: <count> <unit>, ...`` when ``size`` is 1.
-    """
-    total = count * size
-    if total > bound:
-        predicted = f"{_amount(count)} {unit}" if size == 1 else (
-            f"{_amount(count)} × {_amount(size)} {unit} = {_amount(total)} {unit}"
-        )
-        raise BoundError(f"{name}: {predicted}, over the bound of {_amount(bound)} {unit}")
+    of ``size`` ``unit`` each, predicted from an input's shape, exceed
+    ``bound`` ``unit``; a float ``count`` is the log10 of a count too large
+    to form. Only then is the message formed: ``<name>: <count> × <size>
+    <unit> = <total> <unit>, over the bound of <bound> <unit>``, or
+    ``<name>: <count> <unit>, ...`` when ``size`` is 1."""
+    estimate = isinstance(count, float)
+    total = count + math.log10(size) if estimate else count * size
+    if total > (math.log10(bound) if estimate else bound):
+        times = "" if size == 1 else f" × {_number(size)} {unit} = {_number(total)}"
+        over = f"over the bound of {_number(bound)} {unit}"
+        raise BoundError(f"{name}: {_number(count)}{times} {unit}, {over}")

@@ -28,9 +28,8 @@ and the noncrossing property and computes the heads; :meth:`Partition.from_dict`
 only unpacks JSON points. Enumeration and the operations compute the heads of
 noncrossing diagrams directly and wrap them without re-checking.
 
-Enumeration passes the one cost check of :mod:`ncwreath.errors` twice before
-any diagram is formed: for its point count, and for its list's bytes,
-predicted from the object layout, against physical memory.
+Enumeration passes the one cost check of :mod:`ncwreath.errors` before any
+diagram is formed: for its point count, and for its list's bytes in memory.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -45,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ShapeError, ValidationError, _amount, _check_cost
+from .errors import ShapeError, ValidationError, _check_cost, _number
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -242,16 +241,14 @@ _set_upper, _set_lower, _set_heads = (
     Partition.upper.__set__, Partition.lower.__set__, Partition.heads.__set__
 )
 
-#: A list holds ``_DIAGRAM_BYTES + _SLOT_BYTES * m`` bytes per diagram of
-#: ``m`` points: the :class:`Partition`, its heads tuple and the list's slot
-#: (200 at 12 points on 64-bit CPython). The enumeration's working memory is
-#: left out, so the prediction never overstates a list.
+#: A list of ``m``-point diagrams holds ``_DIAGRAM_BYTES + _SLOT_BYTES * m``
+#: bytes a diagram (200 at 12 points on 64-bit CPython): the Partition, its
+#: heads tuple and a list slot; leaving out working memory, it never overstates.
 _SLOT_BYTES = sys.getsizeof((None,)) - sys.getsizeof(())
 _DIAGRAM_BYTES = sys.getsizeof(object.__new__(Partition)) + sys.getsizeof(()) + _SLOT_BYTES
 
-#: Bytes of physical memory, read once. A platform that does not report it
-#: (no ``sysconf``, or -1 pages) gets ``sys.maxsize``, past what any process
-#: can address.
+#: Bytes of physical memory, read once; where the platform does not report
+#: it, ``sys.maxsize``, past what any process can address.
 try:
     _MEMORY = max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE") or sys.maxsize
 except (AttributeError, ValueError, OSError):
@@ -283,15 +280,13 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _diagram_count(m: int) -> int:
-    """``catalan(m)``, exact up to 71 points (40 digits). Past that a message
-    shows only its magnitude, and the exact number is slow to form (36 s at a
-    million points), so ``lgamma`` estimates it to about 15 digits."""
-    if m <= 71:
+def _diagram_count(m: int) -> int | float:
+    """``catalan(m)``, or past 40 points the log10 of its ``lgamma`` estimate:
+    the exact number takes 36 s to form at a million points, and past a few
+    billion points more memory than there is."""
+    if m <= 40:
         return catalan(m)
-    log2 = (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(2)
-    shift = int(log2) - 52
-    return round(2 ** (log2 - shift)) << shift
+    return (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(10)
 
 
 def check_point_bound(upper: int, lower: int, max_points: int) -> None:
@@ -299,7 +294,7 @@ def check_point_bound(upper: int, lower: int, max_points: int) -> None:
     ``catalan(upper + lower)``, when ``upper + lower`` exceeds ``max_points``."""
     m = upper + lower
     if m > max_points:  # the diagram count is formed for the message only
-        name = f"NC({upper}, {lower}) of {_amount(_diagram_count(m))} diagrams"
+        name = f"NC({upper}, {lower}) of {_number(_diagram_count(m))} diagrams"
         _check_cost(name, m, 1, "points", max_points)
 
 

@@ -17,12 +17,10 @@ table: the basis positions of every chain's legs and its coefficient.
 :func:`build_map` turns each block's chains into flat matrix offsets and
 takes the Cartesian product over the blocks (offsets added, coefficients
 multiplied). A :class:`TensorMap` keeps only those non-zeros, in arrays it
-owns; :meth:`TensorMap.dense` scatters them into a fresh dense matrix.
-
+owns; :meth:`TensorMap.dense` scatters them into a fresh dense matrix, and
+:func:`map_matrix` checks that matrix's size before it builds anything.
 Every size is predicted from the block shapes and passes the one cost check
-of :mod:`ncwreath.errors` before anything of that size is allocated: a map's
-non-zeros, its largest chain table and its int64 offsets in :func:`build_map`,
-its dense entries in :meth:`TensorMap.dense`.
+of :mod:`ncwreath.errors` before anything of that size is allocated.
 
 The headline identities, checked numerically by the test suite:
 
@@ -48,6 +46,7 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "TensorMap",
     "build_map",
+    "map_matrix",
     "verify_composition",
     "gram_rank",
     "hom_dimension",
@@ -125,11 +124,8 @@ class TensorMap:
         return self.dense()
 
     def dense(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> np.ndarray:
-        """The dense matrix, built afresh on every call.
-
-        Raises :class:`BoundError` when it would hold more than
-        ``max_entries`` entries.
-        """
+        """The dense matrix, built afresh on every call. Raises
+        :class:`BoundError` when it would hold more than ``max_entries`` entries."""
         rows, cols = self.shape
         _check_cost("dense matrix", rows, cols, "entries", max_entries)
         out = np.zeros(rows * cols)
@@ -202,6 +198,18 @@ def build_map(
     return TensorMap(algebra, p, (rows, cols), flat, values)
 
 
+def map_matrix(
+    algebra: MultiMatrixAlgebra, p: Partition, *, max_entries: int = DEFAULT_MAX_ENTRIES
+) -> np.ndarray:
+    """The dense matrix of ``p``'s map, its size checked before anything is
+    built. That size bounds the build too, except a chain table of ``legs``
+    entries over a one-dimensional algebra: the build runs under at least the
+    default bound."""
+    _check_cost("dense matrix", algebra.dim**p.lower, algebra.dim**p.upper, "entries", max_entries)
+    built = build_map(algebra, p, max_entries=max(max_entries, DEFAULT_MAX_ENTRIES))
+    return built.dense(max_entries)
+
+
 def verify_composition(
     algebra: MultiMatrixAlgebra,
     p: Partition,
@@ -216,9 +224,7 @@ def verify_composition(
     if delta is None:
         raise DomainError("composition rescaling needs a delta-form state")
     qp, _, cycles = compose(p, q)
-    m_p, m_q, m_qp = (
-        build_map(algebra, x, max_entries=max_entries).dense(max_entries) for x in (p, q, qp)
-    )
+    m_p, m_q, m_qp = (map_matrix(algebra, x, max_entries=max_entries) for x in (p, q, qp))
     product = (delta ** float(-cycles)) * (m_q @ m_p)
     return float(np.max(np.abs(m_qp - product)))
 

@@ -1,5 +1,7 @@
-"""Every resource bound, one case each: it refuses in the one message shape,
-within a second and before it allocates what it predicts."""
+"""Every resource bound refuses in the one message shape, within a second
+and before it allocates what it predicts: one case per bound, and the
+requests whose refusal must come before their work (a dense matrix before
+its map is built, a huge diagram count before its digits are formed)."""
 
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ import pytest
 from ncwreath import cli
 from ncwreath.algebra import MultiMatrixAlgebra
 from ncwreath.errors import BoundError
-from ncwreath.partitions import enumerate_partitions
-from ncwreath.tensor_maps import build_map
+from ncwreath.partitions import enumerate_partitions, identity_partition
+from ncwreath.tensor_maps import build_map, verify_composition
 
 from helpers import make_partition as P
 
@@ -33,12 +35,18 @@ def one_block(points: int):
     return P(0, points, " ".join(f"l{j}" for j in range(1, points + 1)))
 
 
-def gram_stack_command(tmp_path):
-    path = tmp_path / "m2.json"
-    path.write_text(json.dumps({"blocks": [{"size": 2, "q": [0.5, 0.5]}]}), encoding="utf-8")
-    cli.build_parser()  # built once per process, not part of the refusal
-    argv = ["tmap", "gram-rank", "--algebra", str(path), "--upper", "5", "--lower", "5"]
-    return lambda: cli.run(argv)
+def command(*argv):
+    """The setup of a command line that may name ``m2.json`` (the algebra M2)
+    and ``id12.json`` (the 12-strand identity), written to the test's folder."""
+    files = {"m2.json": M2_HALF.to_dict(), "id12.json": identity_partition(12).to_dict()}
+
+    def setup(tmp_path):
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+        cli.build_parser()  # built once per process, not part of the refusal
+        args = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        return lambda: cli.run(args)
+    return setup
 
 
 # name: (is a command, setup returning the call, start of the message)
@@ -59,9 +67,29 @@ CASES = {
     "chain table": (False, lambda tmp_path: lambda: build_map(M2_HALF, one_block(24)),
                     "largest chain table: 16,777,216 × 24 entries = 402,653,184 entries,"
                     " over the bound of 16,777,216 entries"),
-    "gram-rank stack": (True, gram_stack_command,
+    "gram-rank stack": (True, command("tmap", "gram-rank", "--algebra", "m2.json",
+                                      "--upper", "5", "--lower", "5"),
                         "Gram stack of NC(5, 5) maps: 16,796 × 1,048,576 entries"
                         " = 17,611,882,496 entries, over the bound of 16,777,216 entries"),
+    # the dense size is refused before the map's 2^24 non-zeros are built
+    "dense matrix before its map": (
+        True, command("tmap", "build", "--algebra", "m2.json", "--partition", "id12.json"),
+        f"dense matrix: {4**12:,} × {4**12:,} entries = {4**24:,} entries,"
+        " over the bound of 16,777,216 entries"),
+    "dense matrices before their maps": (
+        False, lambda tmp_path: lambda: verify_composition(
+            M2_HALF, identity_partition(12), identity_partition(12)),
+        f"dense matrix: {4**12:,} × {4**12:,} entries"),
+    # past the exact range only the magnitude of the diagram count is formed
+    "point count of a huge request": (
+        True, command("partitions", "enumerate", "--upper", "100000000000", "--lower", "0"),
+        "NC(100000000000, 0) of about 10^60205999116 diagrams: 100,000,000,000 points,"
+        " over the bound of 16 points"),
+    "list bytes of a huge request": (
+        True, command("partitions", "enumerate", "--upper", "100000000000", "--lower", "0",
+                      "--max-points", "1000000000000"),
+        "list of NC(100000000000, 0) diagrams: about 10^60205999116 × 800,000,000,104 bytes"
+        " = about 10^60205999127 bytes, over the bound of "),
 }
 
 

@@ -24,6 +24,7 @@ from ncwreath.tensor_maps import (
     build_map,
     gram_rank,
     hom_dimension,
+    map_matrix,
     verify_composition,
 )
 
@@ -363,13 +364,20 @@ class TestNonZeroBounds:
             small.dense(63)
         assert np.array_equal(small.dense(64), small.matrix)
 
+    def test_map_matrix_checks_the_dense_size_first(self):
+        # past int64 and past the non-zero bound, the dense size is named
+        for p, size in ((one_block(40), f"{4**40:,}"), (identity_partition(3), "64 × 64")):
+            with pytest.raises(BoundError, match=rf"^dense matrix: {size} entries"):
+                map_matrix(C4_UNIFORM, p, max_entries=63)
+        assert np.array_equal(map_matrix(M2_HALF, M_DIAGRAM), build_map(M2_HALF, M_DIAGRAM).matrix)
+
     def test_map_matrix_over_a_one_dimensional_algebra(self):
         # its map is one entry at any size, though each table has 12 entries
         scalar = MultiMatrixAlgebra((1,), ((1.0,),))
         p = one_block(12, 6)
         with pytest.raises(BoundError, match="largest chain table: 1 × 12 entries = 12 entries"):
-            build_map(scalar, p, max_entries=11)
-        got = build_map(scalar, p, max_entries=12).dense(1)
+            build_map(scalar, p, max_entries=1)
+        got = map_matrix(scalar, p, max_entries=1)
         assert got.shape == (1, 1)
         (one,) = scalar.basis_indices()
         assert got[0, 0] == pytest.approx(delta_coefficient(scalar, p, (one,) * 6, (one,) * 6))
