@@ -32,6 +32,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from typing import Any, Iterable, Optional, Sequence
 
@@ -56,6 +57,7 @@ from .partitions import (
     DEFAULT_MAX_POINTS,
     Partition,
     adjoint,
+    check_point_bound,
     compose,
     enumerate_partitions,
     tensor,
@@ -276,11 +278,11 @@ def _cmd_tmap_verify(args: argparse.Namespace) -> Result:
 
 def _cmd_tmap_gram_rank(args: argparse.Namespace) -> Result:
     algebra = _load_algebra(args.algebra)
-    # The Gram matrix needs every map at once: bound the whole stack before
-    # enumerating or building anything.
-    count = hom_dimension(args.upper, args.lower, max_points=args.max_points)
+    # The Gram needs every map at once: bound the stack (by log10s past 40 points) first.
+    count = check_point_bound(args.upper, args.lower, args.max_points)
     name = f"Gram stack of NC({args.upper}, {args.lower}) maps"
-    entries = algebra.dim ** (args.upper + args.lower)
+    m = args.upper + args.lower
+    entries = algebra.dim**m if isinstance(count, int) else m * math.log10(algebra.dim)
     _check_cost(name, count, entries, "entries", args.max_entries)
     parts = enumerate_partitions(args.upper, args.lower, max_points=args.max_points)
     rank = gram_rank([build_map(algebra, p, max_entries=args.max_entries) for p in parts])

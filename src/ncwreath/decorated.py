@@ -8,8 +8,8 @@ spaces between tensor products of the basic representations ``a(g)``, so
 counting them computes Hom-space dimensions.
 
 Labels are checked once, when they enter (``is_admissible``, the enumeration,
-``DecoratedPartition(...)`` and ``from_dict``); the diagrams the enumeration
-builds from checked labels are not re-checked.
+``DecoratedPartition(...)`` and ``from_dict``). Counting scans the heads of
+every diagram and builds none; listing wraps only the admissible heads.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from typing import Any, Iterator, Sequence
 
 from .errors import ShapeError, ValidationError
 from .groups import Group
-from .partitions import (
-    DEFAULT_MAX_POINTS,
-    Partition,
-    enumerate_partitions,
-)
+from .partitions import DEFAULT_MAX_POINTS, Partition, _bounded_heads, _trusted
 
 __all__ = [
     "DecoratedPartition",
@@ -141,13 +137,11 @@ def _decorated(group: Group, p: Partition, upper: tuple, lower: tuple) -> Decora
     return d
 
 
-def _admissible(group: Group, upper: tuple, lower: tuple, max_points: int) -> Iterator[Partition]:
-    """The diagrams admissible for already checked labels, in the order of the
-    underlying partition enumeration."""
+def _admissible(group: Group, upper: tuple, lower: tuple, max_points: int, lists: bool) -> Iterator:
+    """The heads of the diagrams admissible for checked labels, once the bounds hold."""
     line = _line(group, upper, lower)
-    for p in enumerate_partitions(len(upper), len(lower), max_points=max_points):
-        if _balanced(group, p.heads, line):
-            yield p
+    heads = _bounded_heads(len(upper), len(lower), max_points, lists)
+    return (h for h in heads if _balanced(group, h, line))
 
 
 def enumerate_decorated(
@@ -161,9 +155,10 @@ def enumerate_decorated(
     underlying partition enumeration."""
     upper_labels = tuple(group.check(g) for g in upper_labels)
     lower_labels = tuple(group.check(g) for g in lower_labels)
+    k, l = len(upper_labels), len(lower_labels)
     return [
-        _decorated(group, p, upper_labels, lower_labels)
-        for p in _admissible(group, upper_labels, lower_labels, max_points)
+        _decorated(group, _trusted(k, l, h), upper_labels, lower_labels)
+        for h in _admissible(group, upper_labels, lower_labels, max_points, True)
     ]
 
 
@@ -179,4 +174,4 @@ def decorated_hom_dimension(
     dimension at least four)."""
     upper_labels = tuple(group.check(g) for g in upper_labels)
     lower_labels = tuple(group.check(g) for g in lower_labels)
-    return sum(1 for _ in _admissible(group, upper_labels, lower_labels, max_points))
+    return sum(1 for _ in _admissible(group, upper_labels, lower_labels, max_points, False))

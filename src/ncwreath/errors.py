@@ -49,15 +49,16 @@ def _number(x: int | float) -> str:
     return f"about 10^{int(x if isinstance(x, float) else math.log10(x))}"
 
 
-def _check_cost(name: str, count: int | float, size: int, unit: str, bound: int) -> None:
+def _check_cost(name: str, count: int | float, size: int | float, unit: str, bound: int) -> None:
     """The one resource check: raise :class:`BoundError` when ``count`` items
     of ``size`` ``unit`` each, predicted from an input's shape, exceed
-    ``bound`` ``unit``; a float ``count`` is the log10 of a count too large
-    to form. Only then is the message formed: ``<name>: <count> × <size>
-    <unit> = <total> <unit>, over the bound of <bound> <unit>``, or
-    ``<name>: <count> <unit>, ...`` when ``size`` is 1."""
+    ``bound`` ``unit``; a float ``count`` (and a float ``size`` beside it) is
+    the log10 of a number too large to form. Only then is the message formed:
+    ``<name>: <count> × <size> <unit> = <total> <unit>, over the bound of
+    <bound> <unit>``, or ``<name>: <count> <unit>, ...`` when ``size`` is 1."""
     estimate = isinstance(count, float)
-    total = count + math.log10(size) if estimate else count * size
+    log_size = size if isinstance(size, float) else math.log10(size) if estimate else 0
+    total = count + log_size if estimate else count * size
     if total > (math.log10(bound) if estimate else bound):
         times = "" if size == 1 else f" × {_number(size)} {unit} = {_number(total)}"
         over = f"over the bound of {_number(bound)} {unit}"

@@ -28,8 +28,8 @@ and the noncrossing property and computes the heads; :meth:`Partition.from_dict`
 only unpacks JSON points. Enumeration and the operations compute the heads of
 noncrossing diagrams directly and wrap them without re-checking.
 
-Enumeration passes the one cost check of :mod:`ncwreath.errors` before any
-diagram is formed: for its point count, and for its list's bytes in memory.
+Every enumeration passes the one cost check of :mod:`ncwreath.errors` first:
+for its point count, and for the bytes of its memo and of any list in memory.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -243,7 +243,7 @@ _set_upper, _set_lower, _set_heads = (
 
 #: A list of ``m``-point diagrams holds ``_DIAGRAM_BYTES + _SLOT_BYTES * m``
 #: bytes a diagram (200 at 12 points on 64-bit CPython): the Partition, its
-#: heads tuple and a list slot; leaving out working memory, it never overstates.
+#: heads tuple and a list slot. The enumeration's memo adds 73 more at 12.
 _SLOT_BYTES = sys.getsizeof((None,)) - sys.getsizeof(())
 _DIAGRAM_BYTES = sys.getsizeof(object.__new__(Partition)) + sys.getsizeof(()) + _SLOT_BYTES
 
@@ -289,13 +289,16 @@ def _diagram_count(m: int) -> int | float:
     return (math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - math.log(m + 1)) / math.log(10)
 
 
-def check_point_bound(upper: int, lower: int, max_points: int) -> None:
-    """Raise :class:`BoundError`, stating the predicted diagram count
-    ``catalan(upper + lower)``, when ``upper + lower`` exceeds ``max_points``."""
+def check_point_bound(upper: int, lower: int, max_points: int) -> int | float:
+    """The :func:`_diagram_count` of ``NC(upper, lower)``. Raises :class:`ValidationError`
+    on a negative row, and :class:`BoundError`, stating it, past ``max_points`` points."""
+    if upper < 0 or lower < 0:
+        raise ValidationError("row sizes must be nonnegative")
     m = upper + lower
-    if m > max_points:  # the diagram count is formed for the message only
+    if m > max_points:  # the name is formed for the message only
         name = f"NC({upper}, {lower}) of {_number(_diagram_count(m))} diagrams"
         _check_cost(name, m, 1, "points", max_points)
+    return _diagram_count(m)
 
 
 def _noncrossing_heads(total: int) -> Iterator[tuple[int, ...]]:
@@ -307,7 +310,9 @@ def _noncrossing_heads(total: int) -> Iterator[tuple[int, ...]]:
     of an interval is grown one position at a time (which visits the
     candidate blocks in lexicographic order); the gaps it closes and the rest
     of the interval after it are independent intervals, whose heads are
-    listed once per call and concatenated in product order.
+    listed once per call and concatenated in product order. For each ``n < total``
+    that memo holds ``total - n`` intervals of ``catalan(n)`` tuples of ``n`` heads;
+    the generator frees it when it ends or is dropped, as the closures form a cycle.
     """
     memo: dict[tuple[int, int], list] = {}
 
@@ -334,7 +339,25 @@ def _noncrossing_heads(total: int) -> Iterator[tuple[int, ...]]:
         else:
             yield from grow(lo, lo, [(lo,)], hi)
 
-    return partitions(0, total)
+    try:
+        yield from partitions(0, total)
+    finally:
+        memo.clear()
+
+
+def _bounded_heads(upper: int, lower: int, max_points: int, lists: bool) -> Iterator[tuple]:
+    """The heads of ``NC(upper, lower)`` once the rows, the point count and the bytes the
+    caller will hold are checked: the memo, and a list of every diagram when ``lists``."""
+    count, m = check_point_bound(upper, lower, max_points), upper + lower
+    lists |= isinstance(count, float)  # past 40 points only the list estimate, past any memory
+    size = (_DIAGRAM_BYTES + _SLOT_BYTES * m) * lists
+    if isinstance(count, int):  # with each diagram's share of the memo, rounded up
+        memo = sum((m - n) * catalan(n) * (sys.getsizeof(()) + _SLOT_BYTES * (n + 1))
+                   for n in range(m))
+        size += -(-memo // count)
+    name = f"{'list' if lists else 'enumeration memo'} of NC({upper}, {lower}) diagrams"
+    _check_cost(name, count, size, "bytes", _MEMORY)
+    return _noncrossing_heads(m)
 
 
 def enumerate_partitions(
@@ -344,15 +367,9 @@ def enumerate_partitions(
 
     The count is the Catalan number of ``upper + lower``. Raises
     :class:`BoundError` when the point total exceeds ``max_points``, or when
-    the list's predicted bytes exceed physical memory.
+    the list and the enumeration's memo would exceed physical memory.
     """
-    if upper < 0 or lower < 0:
-        raise ValidationError("row sizes must be nonnegative")
-    check_point_bound(upper, lower, max_points)
-    m = upper + lower
-    name = f"list of NC({upper}, {lower}) diagrams"
-    _check_cost(name, _diagram_count(m), _DIAGRAM_BYTES + _SLOT_BYTES * m, "bytes", _MEMORY)
-    return [_trusted(upper, lower, heads) for heads in _noncrossing_heads(m)]
+    return [_trusted(upper, lower, h) for h in _bounded_heads(upper, lower, max_points, True)]
 
 
 def identity_partition(k: int) -> Partition:

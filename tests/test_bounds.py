@@ -1,21 +1,26 @@
 """Every resource bound refuses in the one message shape, within a second
 and before it allocates what it predicts: one case per bound, and the
 requests whose refusal must come before their work (a dense matrix before
-its map is built, a huge diagram count before its digits are formed)."""
+its map is built, a huge diagram count before its digits are formed). The
+memory bound of an enumeration counts its memo, and a list only for callers
+that return one."""
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from ncwreath import cli
+from ncwreath import cli, partitions
 from ncwreath.algebra import MultiMatrixAlgebra
+from ncwreath.decorated import decorated_hom_dimension, enumerate_decorated
 from ncwreath.errors import BoundError
-from ncwreath.partitions import enumerate_partitions, identity_partition
+from ncwreath.groups import CyclicGroup
+from ncwreath.partitions import catalan, enumerate_partitions, identity_partition
 from ncwreath.tensor_maps import build_map, verify_composition
 
 from helpers import make_partition as P
@@ -54,8 +59,8 @@ CASES = {
     "point count": (False, lambda tmp_path: lambda: enumerate_partitions(9, 9),
                     "NC(9, 9) of 477,638,700 diagrams: 18 points, over the bound of 16 points"),
     "list bytes": (False, lambda tmp_path: lambda: enumerate_partitions(35, 0, max_points=2000),
-                   "list of NC(35, 0) diagrams: 3,116,285,494,907,301,262 × 384 bytes"
-                   " = 1,196,653,630,044,403,684,608 bytes, over the bound of "),
+                   "list of NC(35, 0) diagrams: 3,116,285,494,907,301,262 × 535 bytes"
+                   " = 1,667,212,739,775,406,175,170 bytes, over the bound of "),
     # 4^14 entries, 2 GiB, of a map with four non-zeros
     "dense matrix": (False, lambda tmp_path: build_map(C4_UNIFORM, one_block(14)).dense,
                      "dense matrix: 268,435,456 entries, over the bound of 16,777,216 entries"),
@@ -90,6 +95,17 @@ CASES = {
                       "--max-points", "1000000000000"),
         "list of NC(100000000000, 0) diagrams: about 10^60205999116 × 800,000,000,104 bytes"
         " = about 10^60205999127 bytes, over the bound of "),
+    # the exact Catalan(300,000) takes seconds to form, and 4^(10^11) longer
+    "gram-rank stack of a huge request": (
+        True, command("tmap", "gram-rank", "--algebra", "m2.json", "--upper", "300000",
+                      "--lower", "0", "--max-points", "1000000"),
+        "Gram stack of NC(300000, 0) maps: about 10^180609 × about 10^180617 entries"
+        " = about 10^361227 entries, over the bound of 16,777,216 entries"),
+    "gram-rank stack of a larger request": (
+        True, command("tmap", "gram-rank", "--algebra", "m2.json", "--upper", "100000000000",
+                      "--lower", "0", "--max-points", "1000000000000"),
+        "Gram stack of NC(100000000000, 0) maps: about 10^60205999116 × about 10^60205999132"
+        " entries = about 10^120411998248 entries, over the bound of 16,777,216 entries"),
 }
 
 
@@ -120,3 +136,25 @@ def test_bound_refuses_at_once_in_one_shape(command, setup, expected, tmp_path, 
     assert shape is not None and shape.group(1) in (None, shape.group(2))
     assert elapsed < 1.0
     assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("call,lists", [
+    (lambda: enumerate_partitions(6, 6), True),
+    (lambda: enumerate_decorated(CyclicGroup(2), (0,) * 6, (0,) * 6), True),
+    (lambda: decorated_hom_dimension(CyclicGroup(2), (0,) * 6, (0,) * 6), False),
+], ids=["enumerate_partitions", "enumerate_decorated", "decorated_hom_dimension"])
+def test_memory_bound_counts_the_memo(call, lists, monkeypatch):
+    # physical memory between the bytes of a list of NC(6, 6) and those of
+    # the list with the enumeration's memo: a list is refused, a count is not.
+    # The memo holds, for n < 12, 12 - n intervals of catalan(n) tuples of n
+    # heads, each in a list slot (15.0 MB).
+    slot = partitions._SLOT_BYTES
+    listed = catalan(12) * (partitions._DIAGRAM_BYTES + slot * 12)
+    memo = sum((12 - n) * catalan(n) * (sys.getsizeof(()) + slot * (n + 1)) for n in range(12))
+    monkeypatch.setattr(partitions, "_MEMORY", listed + memo // 2)
+    if lists:
+        with pytest.raises(BoundError, match=r"^list of NC\(6, 6\) diagrams: 208,012 × [\d,]+"
+                           r" bytes = [\d,]+ bytes, over the bound of [\d,]+ bytes$"):
+            call()
+    else:
+        assert call() == 208_012

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from ncwreath.decorated import (
 from ncwreath.errors import BoundError, DomainError, ShapeError, ValidationError
 from ncwreath.fusion import a_rep_trivial_multiplicity
 from ncwreath.groups import CyclicGroup, IntegerGroup, TableGroup
+from ncwreath import partitions
 from ncwreath.partitions import adjoint, catalan, compose, enumerate_partitions, tensor
 from ncwreath.tensor_maps import build_map, gram_rank
 
@@ -159,6 +161,18 @@ class TestDecoratedHomDimension:
 
     def test_generator_pair(self):
         assert decorated_hom_dimension(Z2, (), (1, 1)) == 1
+
+    def test_count_holds_no_diagram_list(self):
+        # the count scans heads: its peak stays below what a list of the
+        # 208,012 diagrams alone would hold
+        listed = catalan(12) * (partitions._DIAGRAM_BYTES + partitions._SLOT_BYTES * 12)
+        tracemalloc.start()
+        try:
+            assert decorated_hom_dimension(Z2, (0,) * 6, (0,) * 6) == 208_012
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < listed
 
     @pytest.mark.parametrize(
         "group,max_upper,max_points,cases",
