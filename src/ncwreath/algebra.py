@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 __all__ = [
     "BasisIndex",
@@ -49,17 +49,12 @@ class MultiMatrixAlgebra:
     weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(self.block_sizes)
+        sizes = tuple(_integer("block size", size, 1) for size in self.block_sizes)
         if not sizes:
             raise ValidationError("algebra needs at least one block")
-        for size in sizes:
-            if type(size) is not int:
-                raise ValidationError(f"block size must be an integer, got {size!r}")
         weights = tuple(map(_weight_row, self.weights))
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "weights", weights)
-        if any(s < 1 for s in sizes):
-            raise ValidationError("block sizes must be >= 1")
         if len(weights) != len(sizes):
             raise ValidationError("one weight row per block required")
         for size, row in zip(sizes, weights):

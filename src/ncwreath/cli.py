@@ -52,7 +52,7 @@ from .fusion import (
     multiplicity_of_trivial,
     sorted_combination,
 )
-from .groups import Group, parse_group_spec, parse_word_text
+from .groups import Group, _load_json, parse_group_spec, parse_word_text
 from .partitions import (
     DEFAULT_MAX_POINTS,
     Partition,
@@ -84,15 +84,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- input loading ------------------------------------------------------------
-
-
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _load_partition(path: str) -> Partition:

@@ -49,17 +49,31 @@ def _number(x: int | float) -> str:
     return f"about 10^{int(x if isinstance(x, float) else math.log10(x))}"
 
 
+def _integer(name: str, value: int, minimum: int = 0) -> int:
+    """The one rule for a size, count or bound: ``value`` if it is an exact
+    ``int`` (never ``bool`` or ``float``) of at least ``minimum``, else
+    :class:`ValidationError` naming ``name``."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _check_cost(name: str, count: int | float, size: int | float, unit: str, bound: int) -> None:
     """The one resource check: raise :class:`BoundError` when ``count`` items
     of ``size`` ``unit`` each, predicted from an input's shape, exceed
-    ``bound`` ``unit``; a float ``count`` (and a float ``size`` beside it) is
-    the log10 of a number too large to form. Only then is the message formed:
-    ``<name>: <count> × <size> <unit> = <total> <unit>, over the bound of
-    <bound> <unit>``, or ``<name>: <count> <unit>, ...`` when ``size`` is 1."""
+    ``bound`` ``unit``. The ``bound`` (a caller's ``max_<unit>``) is always an
+    exact ``int`` under :func:`_integer`; a float ``count`` (and a float
+    ``size`` beside it) is only the package's log10 estimate of a number too
+    large to form. Only then is the message formed: ``<name>: <count> ×
+    <size> <unit> = <total> <unit>, over the bound of <bound> <unit>``, or
+    ``<name>: <count> <unit>, ...`` when ``size`` is 1."""
+    _integer(f"max_{unit}", bound)
     estimate = isinstance(count, float)
     log_size = size if isinstance(size, float) else math.log10(size) if estimate else 0
     total = count + log_size if estimate else count * size
-    if total > (math.log10(bound) if estimate else bound):
+    if total > (math.log10(max(bound, 1)) if estimate else bound):
         times = "" if size == 1 else f" × {_number(size)} {unit} = {_number(total)}"
         over = f"over the bound of {_number(bound)} {unit}"
         raise BoundError(f"{name}: {_number(count)}{times} {unit}, {over}")

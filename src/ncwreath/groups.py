@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _integer
 
 __all__ = [
     "Group",
@@ -72,10 +72,7 @@ class CyclicGroup(Group):
     order: int
 
     def __post_init__(self) -> None:
-        if type(self.order) is not int:
-            raise ValidationError(f"cyclic group order must be an integer, got {self.order!r}")
-        if self.order < 1:
-            raise ValidationError("cyclic group order must be >= 1")
+        _integer("cyclic group order", self.order, 1)
 
     def identity(self) -> int:
         return 0
@@ -275,6 +272,17 @@ class TableGroup(Group):
         return f"table group of order {len(names)} on {{{shown}, ...}}"
 
 
+def _load_json(path: str) -> Any:
+    """The JSON document in the file at ``path``: :class:`OSError` if it cannot
+    be read, :class:`ValidationError` naming ``path`` if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def parse_group_spec(text: str) -> Group:
     """Build a group from a spec string: ``cyclic:<s>``, ``integers``, or
     ``table:<path>`` (path to a JSON multiplication table)."""
@@ -288,13 +296,7 @@ def parse_group_spec(text: str) -> Group:
             raise ValidationError(f"bad cyclic group spec {text!r}") from None
         return CyclicGroup(order)
     if text.startswith("table:"):
-        path = text.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"group table {path}: {exc}") from None
-        return TableGroup.from_dict(data)
+        return TableGroup.from_dict(_load_json(text.split(":", 1)[1]))
     raise ValidationError(
         f"unknown group spec {text!r} (expected cyclic:<s>, integers, or table:<path>)"
     )

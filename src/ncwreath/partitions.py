@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ShapeError, ValidationError, _check_cost, _number
+from .errors import ShapeError, ValidationError, _check_cost, _integer, _number
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -192,12 +192,7 @@ class Partition:
     heads: tuple[int, ...]
 
     def __init__(self, upper: int, lower: int, blocks: Iterable[Iterable[Point]]) -> None:
-        for name, size in (("upper", upper), ("lower", lower)):
-            if type(size) is not int:
-                raise ValidationError(f"'{name}' must be an integer, got {size!r}")
-        if upper < 0 or lower < 0:
-            raise ValidationError("row sizes must be nonnegative")
-        heads = _heads(blocks, upper, lower)
+        heads = _heads(blocks, _integer("'upper'", upper), _integer("'lower'", lower))
         if heads is None:
             raise ValidationError("blocks cross under the bent-line order")
         _set_upper(self, upper)
@@ -274,10 +269,9 @@ class CompositionResult(NamedTuple):
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number."""
-    if n < 0:
-        raise ValidationError("catalan index must be nonnegative")
-    return math.comb(2 * n, n) // (n + 1)
+    """The n-th Catalan number. Raises :class:`ValidationError` unless ``n``
+    is a non-negative ``int``."""
+    return math.comb(2 * _integer("n", n), n) // (n + 1)
 
 
 def _diagram_count(m: int) -> int | float:
@@ -291,10 +285,10 @@ def _diagram_count(m: int) -> int | float:
 
 def check_point_bound(upper: int, lower: int, max_points: int) -> int | float:
     """The :func:`_diagram_count` of ``NC(upper, lower)``. Raises :class:`ValidationError`
-    on a negative row, and :class:`BoundError`, stating it, past ``max_points`` points."""
-    if upper < 0 or lower < 0:
-        raise ValidationError("row sizes must be nonnegative")
-    m = upper + lower
+    unless the rows and ``max_points`` are non-negative ``int``s, and :class:`BoundError`,
+    stating it, past ``max_points`` points."""
+    m = _integer("upper", upper) + _integer("lower", lower)
+    _integer("max_points", max_points)  # checked here: the cost check runs only on failure
     if m > max_points:  # the name is formed for the message only
         name = f"NC({upper}, {lower}) of {_number(_diagram_count(m))} diagrams"
         _check_cost(name, m, 1, "points", max_points)
@@ -374,8 +368,7 @@ def enumerate_partitions(
 
 def identity_partition(k: int) -> Partition:
     """The identity diagram of ``NC(k, k)``: each ``u_i`` paired with ``l_i``."""
-    if k < 0:
-        raise ValidationError("row sizes must be nonnegative")
+    _integer("k", k)
     return _trusted(k, k, tuple(range(k)) + tuple(reversed(range(k))))
 
 

@@ -255,8 +255,8 @@ def hom_dimension(
     upper: int, lower: int, *, max_points: int = DEFAULT_MAX_POINTS
 ) -> int:
     """Number of diagrams in ``NC(upper, lower)`` — the dimension their maps
-    span over any algebra of dimension at least four."""
-    if upper < 0 or lower < 0:
-        raise DomainError("row sizes must be nonnegative")
+    span over any algebra of dimension at least four. Raises :class:`ValidationError`
+    unless the rows and ``max_points`` are non-negative ``int``s, and :class:`BoundError`
+    past ``max_points`` points."""
     check_point_bound(upper, lower, max_points)
     return catalan(upper + lower)

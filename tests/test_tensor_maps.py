@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ncwreath.algebra import BasisIndex, MultiMatrixAlgebra
-from ncwreath.errors import BoundError, DomainError, ShapeError
+from ncwreath.errors import BoundError, DomainError, ShapeError, ValidationError
 from ncwreath.partitions import (
     adjoint,
     catalan,
@@ -513,7 +513,7 @@ class TestHomDimension:
                     assert hom_dimension(k, l) == len(enumerate_partitions(k, l))
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             hom_dimension(-1, 2)
 
     def test_bound_enforced(self):
