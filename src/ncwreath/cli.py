@@ -11,11 +11,11 @@ subcommand so results can be scripted and diffed:
 * ``fusion`` — word fusion products, dimensions, trivial multiplicities,
   and the free-product ring.
 
-Output is human-readable text by default; ``--format json`` emits a JSON
-document that re-parses to the same value. Exit codes: 0 success, 1 a
-verification that ran but exceeded its tolerance, 2 bad input (``parse
-error:`` / ``file error:`` on standard error), 3 a resource bound was hit
-(``bound error:``). No command writes to any input file.
+Output is text by default; ``--format json`` writes one compact ASCII line
+of JSON that re-parses to the same value (``python -m json.tool`` indents
+it). Exit codes: 0 success, 1 a verification over tolerance, 2 bad input
+(``parse error:`` / ``file error:`` on standard error), 3 a resource bound
+was hit (``bound error:``). No command writes to any input file.
 
 Each handler ``_cmd_<topic>_<action>`` returns ``(payload, lines)``: the
 JSON document and the text lines of the same answer. Diagrams, words,
@@ -540,10 +540,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(0)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, default=_to_json))
-        else:
-            for line in lines:
-                print(line)
+            lines = [json.dumps(payload, default=_to_json)]
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     except BoundError as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return 3

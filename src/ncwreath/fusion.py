@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import DomainError, ValidationError
@@ -101,9 +102,10 @@ def fusion_product(x: Word, y: Word) -> Counter:
     return out
 
 
-def dimension(x: Word, n: int) -> int:
-    """Dimension of the word representation over an algebra of dimension
-    ``n``; defined (and strictly positive) for ``n >= 4``.
+def dimension(x: Word, n: int | Fraction) -> int | Fraction:
+    """Exact dimension of the word representation over an algebra of dimension
+    ``n``, an ``int`` or ``Fraction`` (never a ``float``) of at least 4, where
+    it is strictly positive.
 
     ``dim`` is the ring homomorphism with ``dim(g) = n - [g = e]`` on one
     letter, so appending a letter ``g`` to a nonempty prefix ``P`` gives
@@ -117,10 +119,10 @@ def dimension(x: Word, n: int) -> int:
     cancels the last one. Only which letters are the identity matters, and
     one pass over the word gives the dimension.
     """
+    if type(n) not in (int, Fraction):
+        raise ValidationError(f"n must be an int or a Fraction, got {n!r}")
     if n < MIN_FUSION_DIM:
-        raise DomainError(
-            f"word dimensions need an algebra of dimension >= {MIN_FUSION_DIM}, got {n}"
-        )
+        raise DomainError(f"word dimensions need n >= {MIN_FUSION_DIM}, got {n}")
     identity = x.group.identity()
     value, base = 1, 0
     for g in x.letters:

@@ -825,25 +825,28 @@ class TestTopLevelBehavior:
         assert proc.stdout.strip() == "14"
 
 
-# One fixture command line per subcommand; a dict stands for a JSON file.
+# One fixture command line per subcommand, sized and spelled like the
+# benchmark's CLI scripts (7-point enumerations, `--x=...` labels, words of up
+# to 30 letters); a dict stands for a JSON file.
 COMMAND_FIXTURES = {
-    ("partitions", "enumerate"): ["--upper", "1", "--lower", "2"],
+    ("partitions", "enumerate"): ["--upper", "3", "--lower", "4"],
     ("partitions", "compose"): ["--p", M_PAYLOAD, "--q", M_STAR_PAYLOAD],
     ("partitions", "adjoint"): ["--partition", M_PAYLOAD],
     ("partitions", "tensor"): ["--p", M_PAYLOAD, "--q", ID1_PAYLOAD],
-    ("tmap", "build"): ["--algebra", M2_UNIFORM, "--partition", M_PAYLOAD],
+    ("tmap", "build"): ["--algebra", MIXED, "--partition", M_PAYLOAD],
     ("tmap", "verify"): ["--algebra", M2_UNIFORM, "--p", M_PAYLOAD, "--q", M_STAR_PAYLOAD],
-    ("tmap", "gram-rank"): ["--algebra", M2_UNIFORM, "--upper", "1", "--lower", "1"],
+    ("tmap", "gram-rank"): ["--algebra", M2_UNIFORM, "--upper", "1", "--lower", "3"],
     ("algebra", "check"): ["--algebra", M2_UNIFORM],
     ("algebra", "decompose"): ["--algebra", MIXED],
-    ("decorated", "count"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
-    ("decorated", "list"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
-    ("fusion", "product"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
-    ("fusion", "dim"): ["--group", "cyclic:2", "--word", "s,s", "--n", "4"],
-    ("fusion", "trivial-mult"): ["--group", "cyclic:2", "--x", "s", "--y", "s"],
-    ("fusion", "a-trivial-mult"): ["--group", "cyclic:2", "--word", "e,e"],
+    ("decorated", "count"): ["--group", "integers", "--x=1,-2", "--y=1,-2,3,-3"],
+    ("decorated", "list"): ["--group", "cyclic:3", "--x=s,s2", "--y=s,s2,s,s2"],
+    ("fusion", "product"): ["--group", "cyclic:3", "--x=s,s2,s,e,s2", "--y=s,e,s2,s"],
+    ("fusion", "dim"): ["--group", "cyclic:3", f"--word={','.join(['s', 'e', 's2'] * 10)}",
+                        "--n", "7"],
+    ("fusion", "trivial-mult"): ["--group", "integers", "--x=1,-2,0", "--y=0,2,-1"],
+    ("fusion", "a-trivial-mult"): ["--group", "cyclic:3", "--word=s,e,s2,s,e,s,s2,e"],
     ("fusion", "freeprod"): [
-        "--factors", "cyclic:2@4,cyclic:2@5", "--x", "0:s", "--y", "0:s|1:s",
+        "--factors", "cyclic:2@4,cyclic:3@5", "--x", "0:s|1:s,s2", "--y", "1:s,s2|0:s",
     ],
 }
 
@@ -859,12 +862,34 @@ COMMAND_FIXTURES = {
 )
 def test_every_command_in_every_format(capsys, write_json, topic, action, fmt):
     argv = [
-        write_json(f"arg{i}.json", arg) if isinstance(arg, dict) else arg
-        for i, arg in enumerate(COMMAND_FIXTURES[topic, action])
+        topic, action, *(
+            write_json(f"arg{i}.json", arg) if isinstance(arg, dict) else arg
+            for i, arg in enumerate(COMMAND_FIXTURES[topic, action])
+        ), "--format", fmt,
     ]
-    code, out, err = run_cli(capsys, topic, action, *argv, "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     if fmt == "json":
-        json.loads(out)
+        # one compact ASCII line: the stdlib's default separators, no indent
+        assert out == json.dumps(json.loads(out)) + "\n"
     else:
-        assert out.strip()
+        # one line per item the handler yields, nothing else
+        args = build_parser().parse_args(argv)
+        _, lines = args.handler(args)
+        assert out.strip() and out == "".join(f"{line}\n" for line in lines)
+
+
+def test_json_escapes_non_ascii_names(capsys, write_json):
+    path = write_json("sigma.json", {"elements": ["e", "σ"], "identity": "e",
+                                     "table": [[0, 1], [1, 0]]})
+    argv = ["fusion", "product", "--group", f"table:{path}", "--x", "σ", "--y", "σ"]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.isascii() and "\\u03c3" in out
+    assert json.loads(out) == [
+        {"word": [], "mult": 1},
+        {"word": ["e"], "mult": 1},
+        {"word": ["σ", "σ"], "mult": 1},
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()) == (0, ["∅: 1", "(e): 1", "(σ,σ): 1"])

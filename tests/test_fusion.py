@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -215,10 +216,28 @@ class TestDimension:
         with pytest.raises(DomainError):
             dimension(W(Z2, 1), 3)
 
+    @pytest.mark.parametrize("n, want", [
+        (4.5, ValidationError),
+        (True, ValidationError),
+        (None, ValidationError),
+        ("5", ValidationError),
+        (Fraction(9, 2), Fraction(279, 8)),
+        (3, DomainError),
+    ])
+    def test_n_is_an_exact_int_or_fraction_of_at_least_four(self, n, want):
+        x = W(Z2, 1, 0, 1)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                dimension(x, n)
+        else:
+            got = dimension(x, n)
+            assert (type(got), got) == (Fraction, want)
+            assert got == word_dimension_from_the_right(Z2, x.letters, n)
+
     @pytest.mark.parametrize("group", [Z2, Z3, S3, ZZ])
-    @pytest.mark.parametrize("n", [4, 5, 9])
+    @pytest.mark.parametrize("n", [4, 5, 9, Fraction(9, 2)])
     def test_homomorphism_property(self, group, n):
-        rng = random.Random(n * 100 + 7)
+        rng = random.Random(int(n * 100) + 7)
         for _ in range(25):
             x, y = random_word(rng, group), random_word(rng, group)
             total = sum(
